@@ -483,11 +483,12 @@ def main(argv=None) -> int:
 
     from .datapipe import ManifestError, NiftiError, PreprocessError, RawFormatError
     from .evalstats import MetricsError, StatsError
+    from .gradcam import GradCamError
     from .trainer import DataError, NumericError
 
     try:
         return _COMMANDS[cli.command](cli)
-    except ConfigError as exc:
+    except (ConfigError, GradCamError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ManifestError, NiftiError, RawFormatError, PreprocessError,

@@ -95,6 +95,8 @@ def roc_auc(labels, scores) -> tuple[float, list[tuple[float, float, float]]]:
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape:
         raise MetricsError("labels and scores differ in length")
+    if not np.all(np.isfinite(scores)):
+        raise MetricsError("AUC undefined: a score is not finite")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:

@@ -1,7 +1,7 @@
 """Gradient-weighted class activation maps.
 
 Channel weights are the spatial means of the class-score gradient at the
-captured convolution output; the map is ReLU(sum_c w_c A_c), upsampled to the
+captured layer output; the map is ReLU(sum_c w_c A_c), upsampled to the
 input grid (bilinear/trilinear) and min-max normalized.
 """
 from __future__ import annotations
@@ -58,15 +58,27 @@ def gradcam(model, inputs, class_index: int, target=None,
     """Heatmap for one sample against ``class_index``.
 
     ``inputs`` is a tensor tuple matching the model's forward signature (one
-    element for unimodal models, two for fusion).  ``target`` overrides the
-    model's registered capture conv.  Two-class heads use the class logit as
+    element for unimodal models, two for fusion).  ``target`` is any module
+    of the model (default: ``model.cam_target()``; fusion models have one per
+    branch in ``cam_targets()``).  Two-class heads use the class logit as
     the score; the fusion scalar uses +logit for class 1 and -logit for 0.
+
+    The model's parameters are frozen for the call and the target's output
+    is captured as a leaf, so the backward pass runs only from the score to
+    the target and leaves every parameter's ``.grad`` untouched.
     """
-    conv = target if target is not None else model.cam_target()
+    if target is None:
+        if not hasattr(model, "cam_target"):
+            raise GradCamError(f"{type(model).__name__} has no default target; pass target=")
+        target = model.cam_target()
     was_training = model.training
+    params = model.parameters()
+    flags = [p.requires_grad for p in params]
     model.eval()
-    conv.capture = True
+    target.capture = True
     try:
+        for p in params:
+            p.requires_grad = False
         with ndc.Tape():
             out = model(*[ndc.Tensor(np.asarray(x, dtype=np.float32)[None])
                           for x in inputs])
@@ -82,34 +94,31 @@ def gradcam(model, inputs, class_index: int, target=None,
                 mask = np.zeros(logits.shape, np.float32)
                 mask[0, class_index] = 1.0
                 score = ndc.sum_(logits * ndc.Tensor(mask))
-            captured = conv.captured
+            captured = target.captured
             if captured is None:
-                raise GradCamError("target conv did not run during forward")
-            captured.retain_grad()
+                raise GradCamError("target layer did not run during forward")
             ndc.backward(score)
     finally:
-        conv.capture = False
-        conv.captured = None
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
+        target.capture = False
+        target.captured = None
         if was_training:
             model.train()
 
     activation = captured.data[0]
-    grad = captured.grad[0] if captured.grad is not None else np.zeros_like(activation)
-    in_extents = inputs[_input_index_for(model, conv)].shape[-activation.ndim + 1:]
-    values = cam_from_capture(activation, grad, in_extents)
-    return Heatmap(values=values, target_layer=_layer_name(model, conv),
+    # fusion models take (volume, image): the map belongs to the input of its rank
+    sources = [x for x in inputs if np.ndim(x) == activation.ndim]
+    if not sources:
+        raise GradCamError(f"no input has the rank of the target map {activation.shape}")
+    values = cam_from_capture(activation, captured.grad[0], np.shape(sources[0])[1:])
+    return Heatmap(values=values, target_layer=_layer_name(model, target),
                    class_index=class_index, sample_id=sample_id)
 
 
-def _input_index_for(model, conv) -> int:
-    # fusion models take (volume, image); the US trunk conv is 2D
-    return 1 if (len(getattr(model, "cam_targets", lambda: {})() or {}) == 2
-                 and conv.dims == 2) else 0
-
-
-def _layer_name(model, conv) -> str:
+def _layer_name(model, target) -> str:
     for name, mod in _walk_named(model):
-        if mod is conv:
+        if mod is target:
             return name
     return "unregistered"
 

@@ -80,10 +80,9 @@ class DenseNet3dBranch(Module):
                 ch //= 2
         self.blocks = ModuleList(blocks)
         self.transitions = ModuleList(transitions)
-        self.block_taps = ModuleList(CapturePoint(dims=3) for _ in blocks)
         self.final_channels = ch
         self.final_norm = BatchNorm(ch)
-        self.feature_tap = CapturePoint(dims=3)
+        self.feature_tap = CapturePoint()
         self.fc = Linear(ch, profile.dense_feature)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -93,7 +92,7 @@ class DenseNet3dBranch(Module):
         y = ndc.relu(self.stem_norm(self.stem(x)))
         y = ndc.maxpool(y, 3, 2, padding=1)
         for i, block in enumerate(self.blocks):
-            y = self.block_taps[i](block(y))
+            y = block(y)
             if i < len(self.transitions):
                 y = self.transitions[i](y)
         y = self.feature_tap(ndc.relu(self.final_norm(y)))

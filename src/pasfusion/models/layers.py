@@ -7,7 +7,7 @@ yields the dotted parameter paths used for checkpoint ordering (e.g.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -21,6 +21,8 @@ class Module:
         object.__setattr__(self, "_modules", {})
         object.__setattr__(self, "_buffers", {})
         object.__setattr__(self, "training", True)
+        object.__setattr__(self, "capture", False)
+        object.__setattr__(self, "captured", None)
 
     def __setattr__(self, name, value):
         if isinstance(value, Parameter):
@@ -99,7 +101,17 @@ class Module:
         return self
 
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        """Run ``forward``; while ``capture`` is set, cut the tape at the output.
+
+        The output is replaced by a leaf with ``requires_grad=True``, kept as
+        ``captured``.  Downstream ops record against that leaf, so a backward
+        pass from a score leaves the score's gradient at this module in
+        ``captured.grad``.
+        """
+        out = self.forward(*args, **kwargs)
+        if self.capture:
+            out = self.captured = Tensor(out.data, requires_grad=True)
+        return out
 
     def forward(self, *args, **kwargs):
         raise NotImplementedError
@@ -141,8 +153,6 @@ class Conv(Module):
         self.fan_in = in_ch * k ** dims
         self.weight = Parameter(np.zeros((out_ch, in_ch) + (k,) * dims, np.float32))
         self.bias = Parameter(np.zeros(out_ch, np.float32)) if bias else None
-        self.capture = False
-        self.captured: Optional[Tensor] = None
 
     def _init(self, rng):
         self.weight.data = kaiming_uniform(rng, self.weight.shape, self.fan_in)
@@ -150,11 +160,8 @@ class Conv(Module):
             self.bias.data = np.zeros(self.bias.shape, np.float32)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = ndc.conv(x, self.weight, self.bias,
-                       stride=self.stride, padding=self.padding, dims=self.dims)
-        if self.capture:
-            self.captured = out
-        return out
+        return ndc.conv(x, self.weight, self.bias,
+                        stride=self.stride, padding=self.padding, dims=self.dims)
 
 
 class BatchNorm(Module):
@@ -233,21 +240,11 @@ class RngHolder:
 
 
 class CapturePoint(Module):
-    """Pass-through tap for activation/gradient capture (class-activation maps).
-
-    Sits after a feature stage; forwards unchanged, and when ``capture`` is
-    set it keeps a reference to the tensor flowing through.
-    """
-
-    def __init__(self, dims: int):
-        super().__init__()
-        self.dims = dims
-        self.capture = False
-        self.captured: Optional[Tensor] = None
+    """Pass-through module that makes a tensor with no module of its own (a
+    post-activation feature map) a Grad-CAM target; ``Module.__call__`` does
+    the capture."""
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.capture:
-            self.captured = x
         return x
 
 

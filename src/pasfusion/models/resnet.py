@@ -63,8 +63,7 @@ class ResNet50Trunk(Module):
                        for _ in range(count - 1)]
             stages.append(ModuleList(blocks))
         self.stages = ModuleList(stages)
-        self.stage_taps = ModuleList(CapturePoint(dims=2) for _ in stages)
-        self.feature_tap = CapturePoint(dims=2)
+        self.feature_tap = CapturePoint()
         self.out_features = in_ch
 
     def forward(self, x: Tensor) -> Tensor:
@@ -73,10 +72,9 @@ class ResNet50Trunk(Module):
             raise ShapeError(f"image shape {x.shape[1:]} != expected {expect}")
         y = ndc.relu(self.stem_norm(self.stem(x)))
         y = ndc.maxpool(y, 3, 2, padding=1)
-        for stage, tap in zip(self.stages, self.stage_taps):
+        for stage in self.stages:
             for block in stage:
                 y = block(y)
-            y = tap(y)
         y = self.feature_tap(y)
         self.last_map_shape = y.shape
         return ndc.global_avgpool(y)

@@ -35,7 +35,7 @@ from .ops import (
     sum_,
     transpose,
 )
-from .serialize import ContainerError, dump_arrays, load_arrays, load_parameters, save_parameters
+from .serialize import ContainerError, dump_arrays, load_arrays
 
 __all__ = [
     "Tensor", "Parameter", "Tape", "no_grad", "backward", "active_tape",
@@ -44,6 +44,5 @@ __all__ = [
     "activation", "relu", "gelu", "sigmoid", "softmax", "linear", "concat",
     "split", "mhsa", "dropout", "loss", "cross_entropy", "bce_loss",
     "matmul", "reshape", "transpose", "mean", "sum_",
-    "dump_arrays", "load_arrays", "save_parameters", "load_parameters",
-    "ContainerError",
+    "dump_arrays", "load_arrays", "ContainerError",
 ]

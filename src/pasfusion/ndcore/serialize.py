@@ -57,12 +57,3 @@ def load_arrays(blob: bytes) -> dict[str, np.ndarray]:
         arrays[name] = data.astype(np.float32)
     return arrays
 
-
-def save_parameters(path, named_params: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(dump_arrays(named_params))
-
-
-def load_parameters(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        return load_arrays(fh.read())

@@ -38,13 +38,12 @@ def _coerce(data, dtype) -> np.ndarray:
 class Tensor:
     """N-dimensional float array, optionally participating in the grad tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "retains_grad")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _coerce(data, dtype)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self.retains_grad = False
 
     # -- introspection -----------------------------------------------------
     @property
@@ -71,14 +70,6 @@ class Tensor:
 
     def _item_err(self):
         raise ShapeError(f"item() requires a single element, got shape {self.shape}")
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def retain_grad(self) -> "Tensor":
-        """Keep the gradient of this (possibly intermediate) tensor after backward."""
-        self.retains_grad = True
-        return self
 
     def zero_grad(self):
         self.grad = None
@@ -198,8 +189,6 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         holders.pop(id(node.out), None)
-        if node.out.retains_grad:
-            node.out.grad = g if node.out.grad is None else node.out.grad + g
         in_grads = node.backward_fn(g)
         for t, ig in zip(node.inputs, in_grads):
             if ig is None or not t.requires_grad:

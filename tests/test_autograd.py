@@ -72,16 +72,6 @@ def test_grad_accumulates_across_reuse():
     np.testing.assert_allclose(x.grad, [7.0])
 
 
-def test_retain_grad_on_intermediate():
-    with ndc.Tape():
-        x = ndc.Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
-        mid = x * 4.0
-        mid.retain_grad()
-        ndc.backward(ndc.sum_(mid * 2.0))
-    np.testing.assert_array_equal(mid.grad, [2.0, 2.0])
-    np.testing.assert_array_equal(x.grad, [8.0, 8.0])
-
-
 def test_determinism_same_seed_bitwise():
     def run():
         rng = np.random.default_rng(42)

@@ -103,6 +103,21 @@ class TestExitCodes:
                          str(tmp_path / "o")])
         assert code == EXIT_NUMERIC
 
+    def test_explain_bad_class_index_is_config_error(self, dataset_dir, tmp_path):
+        from pasfusion.models import build_model
+        from pasfusion.trainer import save_checkpoint, snapshot_state
+
+        ckpt = tmp_path / "us.ckpt"
+        save_checkpoint(ckpt, snapshot_state(build_model("us", "micro", seed=0)),
+                        {"model": "us", "profile": "micro", "seed": 0})
+        cfg = tmp_path / "x.json"
+        cfg.write_text(json.dumps({
+            "checkpoint": str(ckpt),
+            "manifest": str(dataset_dir / "data" / "manifest.json"),
+            "split": "test", "max_samples": 1, "class_index": 5}))
+        code = main(["explain", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+
 
 class TestArtifacts:
     def test_synth_writes_manifest_and_run_record(self, dataset_dir):

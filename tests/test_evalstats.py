@@ -1,11 +1,17 @@
 """Metric reproduction from the published confusion matrices, AUC/statistics
 oracles and the model-comparison driver."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pasfusion
 from pasfusion.evalstats import (
     ConfusionMatrix,
     DegenerateInputError,
@@ -99,6 +105,24 @@ class TestRocAuc:
     def test_single_class_errors(self):
         with pytest.raises(MetricsError):
             roc_auc([1, 1], [0.2, 0.4])
+
+    def test_non_finite_score_rejected(self):
+        # a NaN score once stalled the tie loop, so the call runs in a child
+        # process under a deadline: a regression fails instead of hanging
+        code = ("from pasfusion.evalstats import MetricsError, roc_auc\n"
+                "for bad in (float('nan'), float('inf')):\n"
+                "    try:\n"
+                "        roc_auc([0, 1, 1], [0.2, bad, 0.9])\n"
+                "    except MetricsError:\n"
+                "        continue\n"
+                "    raise SystemExit(f'score {bad} accepted')\n")
+        src_root = str(Path(pasfusion.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_roc_monotone_in_fpr(self, rng):
         labels = rng.integers(0, 2, size=50)

@@ -7,6 +7,7 @@ import pytest
 from pasfusion import ndcore as ndc
 from pasfusion.gradcam import (
     JET_STOPS,
+    GradCamError,
     Heatmap,
     blend_overlay,
     cam_from_capture,
@@ -107,12 +108,74 @@ class TestHeatmapInvariants:
         with pytest.raises(GradCamError):
             gradcam(model, (img,), 5)
 
+    def test_fusion_needs_explicit_target(self, rng):
+        model = build_model("fusion", "micro", seed=3)
+        vol = rng.random((1, 32, 32, 16)).astype(np.float32)
+        img = rng.random((3, 56, 56)).astype(np.float32)
+        with pytest.raises(GradCamError):
+            gradcam(model, (vol, img), 1)
+
+    def test_target_without_spatial_map_rejected(self, rng):
+        model = build_model("mri", "micro", seed=3)
+        vol = rng.random((1, 32, 32, 16)).astype(np.float32)
+        with pytest.raises(GradCamError):
+            gradcam(model, (vol,), 1, target=model.fc1)
+
     def test_upsample_preserves_range(self, rng):
         small = rng.random((4, 4))
         big = upsample_linear(small, (16, 16))
         assert big.shape == (16, 16)
         assert big.min() >= small.min() - 1e-9
         assert big.max() <= small.max() + 1e-9
+
+
+def _micro_case(kind, rng):
+    """Micro model, one unbatched input tuple and every target ``explain`` maps."""
+    model = build_model(kind, "micro", seed=3)
+    vol = rng.random((1, 32, 32, 16)).astype(np.float32)
+    img = rng.random((3, 56, 56)).astype(np.float32)
+    if kind == "fusion":
+        return model, (vol, img), list(model.cam_targets().values())
+    return model, ((vol,) if kind == "mri" else (img,)), [model.cam_target()]
+
+
+class TestBackwardScope:
+    """A map backpropagates from the class score to its target and no further."""
+
+    @pytest.mark.parametrize("kind", ["mri", "us", "fusion"])
+    def test_parameter_gradients_untouched(self, kind, rng):
+        model, inputs, targets = _micro_case(kind, rng)
+        for target in targets:
+            gradcam(model, inputs, 1, target=target)
+        for name, p in model.named_parameters():
+            assert p.grad is None, name
+            assert p.requires_grad, name
+
+    @pytest.mark.parametrize("kind", ["mri", "us", "fusion"])
+    def test_repeated_maps_identical(self, kind, rng):
+        model, inputs, targets = _micro_case(kind, rng)
+        for target in targets:
+            first = gradcam(model, inputs, 0, target=target).values
+            second = gradcam(model, inputs, 0, target=target).values
+            np.testing.assert_array_equal(first, second)
+
+    def test_us_branch_map_leaves_mri_branch_alone(self, rng):
+        model, inputs, _ = _micro_case("fusion", rng)
+        heat = gradcam(model, inputs, 1, target=model.cam_targets()["us"])
+        assert heat.target_layer == "us.feature_tap"
+        assert all(p.grad is None for p in model.mri.parameters())
+
+    def test_raw_conv_target(self, rng):
+        model, inputs, _ = _micro_case("us", rng)
+        model.train()
+        conv = model.trunk.stages[-1][-1].conv3
+        heat = gradcam(model, inputs, 1, target=conv)
+        assert heat.target_layer == f"trunk.stages.{len(model.trunk.stages) - 1}." \
+            f"{len(model.trunk.stages[-1]) - 1}.conv3"
+        assert heat.values.shape == (56, 56)
+        assert np.all(np.isfinite(heat.values))
+        assert heat.values.min() >= 0.0 and heat.values.max() <= 1.0
+        assert model.training and not conv.capture and conv.captured is None
 
 
 @pytest.mark.slow
@@ -163,7 +226,7 @@ def test_signal_localization_reported(tmp_path):
                          augment=False)
     _, us_model = train(us_cfg, manifest, cache=cache)
     us_ratio, us_n = ratio_over_positives(
-        us_model, us_model.trunk.stage_taps[0],
+        us_model, us_model.trunk.stages[0][-1],
         lambda i, s=spec: (generate_pair(s, i)[1], generate_pair(s, i)[2]),
         lambda img: preprocess_us(img, target=(56, 56)),
         threshold_sign=+1.0)
@@ -172,7 +235,7 @@ def test_signal_localization_reported(tmp_path):
                           augment=False)
     _, mri_model = train(mri_cfg, manifest, cache=cache)
     mri_ratio, mri_n = ratio_over_positives(
-        mri_model, mri_model.extractor.dense.block_taps[1],
+        mri_model, mri_model.extractor.dense.blocks[1],
         lambda i, s=spec: (generate_pair(s, i)[0], generate_pair(s, i)[2]),
         lambda vox: preprocess_mri(Vol(voxels=vox), target=(32, 32, 16)).voxels[None],
         threshold_sign=-1.0)
