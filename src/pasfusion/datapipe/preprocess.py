@@ -7,6 +7,8 @@ replication -> bilinear resize -> division by 255 at the model boundary.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .niftiio import Volume
@@ -63,9 +65,15 @@ def resample_volume_cubic(vox: np.ndarray, extents) -> np.ndarray:
 
 
 def minmax_unit(arr: np.ndarray) -> np.ndarray:
-    """Min-max to [0, 1]; a constant array maps to all zeros."""
+    """Min-max to [0, 1]; a constant array maps to all zeros.
+
+    A NaN or infinite value would turn every output value NaN, so it is
+    rejected (NaN propagates through ``min``/``max``; no extra pass).
+    """
     lo = float(arr.min())
     hi = float(arr.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise PreprocessError(f"non-finite values in the input (min {lo}, max {hi})")
     if hi == lo:
         return np.zeros_like(arr, dtype=np.float32)
     return ((arr - lo) / (hi - lo)).astype(np.float32)

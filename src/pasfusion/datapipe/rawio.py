@@ -7,6 +7,7 @@ a newline, then the raw little-endian float32 payload in row-major order.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -43,7 +44,9 @@ def _read(path, rank: int) -> np.ndarray:
     extents = header.get("extents")
     if not isinstance(extents, list) or len(extents) != rank:
         raise RawFormatError(f"{path}: extents {extents!r} not rank {rank}")
-    count = int(np.prod(extents))
+    if any(type(e) is not int or e < 1 for e in extents):
+        raise RawFormatError(f"{path}: extents {extents!r} must be positive integers")
+    count = math.prod(extents)
     payload = blob[nl + 1:]
     if len(payload) < 4 * count:
         raise RawFormatError(f"{path}: payload truncated")

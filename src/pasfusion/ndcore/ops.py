@@ -5,10 +5,13 @@ Every function builds its result with numpy, then registers a backward
 closure on the active tape via ``record``.  Convolution and pooling use an
 n-dimensional im2col built on stride tricks; the col buffer only outlives
 the forward call while a tape is recording, so full-size eval passes stay
-inside a small memory envelope.
+inside a small memory envelope.  The convolution's input gradient is a
+transposed convolution, one stride-1 im2col correlation per stride phase
+(``_conv_input_grad``); there is no scatter-add loop over kernel taps.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Optional, Sequence
 
@@ -167,8 +170,8 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.size if axis is None else np.prod(
-        [a.shape[ax] for ax in np.atleast_1d(axis)])
+    count = a.size if axis is None else math.prod(
+        a.shape[ax] for ax in np.atleast_1d(axis))
     out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
 
     def backward_fn(g):
@@ -212,23 +215,55 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int):
     return col, outs
 
 
-def _col2im(dcol: np.ndarray, x_shape, k: int, stride: int, padding: int) -> np.ndarray:
-    """Scatter-add a column gradient back onto the (unpadded) input shape."""
-    b, c = x_shape[:2]
+def _conv_input_grad(g: np.ndarray, w: np.ndarray, x_shape, stride: int,
+                     padding: int) -> np.ndarray:
+    """Input gradient of ``conv`` as a transposed convolution.
+
+    Padded input position ``r + q*stride`` (phase ``r`` per axis) receives
+    ``sum_t g[q - t] * w[r + t*stride]``: a stride-1 correlation of ``g`` with
+    the spatially flipped, in/out-swapped sub-kernel ``w[..., r::stride]``.
+    The phase's outputs ``q`` in ``[lo, hi)`` read ``g[lo - (taps-1) : hi]``,
+    zero-padded outside the output extent, and land on input index
+    ``r + q*stride - padding``.  At stride 1 the single phase is ``gx``.
+    """
+    b, in_ch = x_shape[:2]
     sp = x_shape[2:]
     dims = len(sp)
-    padded_sp = tuple(s + 2 * padding for s in sp)
-    outs = tuple(_out_extent(s, k, stride, padding) for s in sp)
-    dx = np.zeros((b, c) + padded_sp, dtype=dcol.dtype)
-    dcol = dcol.reshape((b, c) + (k,) * dims + outs)
-    for kidx in np.ndindex(*(k,) * dims):
-        sl = tuple(slice(kidx[i], kidx[i] + stride * outs[i], stride)
-                   for i in range(dims))
-        dx[(slice(None), slice(None)) + sl] += dcol[(slice(None), slice(None)) + kidx]
-    if padding:
-        crop = tuple(slice(padding, padding + s) for s in sp)
-        dx = dx[(slice(None), slice(None)) + crop]
-    return dx
+    k = w.shape[2]
+    # per axis, per phase r: (taps, lo, hi)
+    plan = [[(len(range(r, k, stride)), max(0, -((r - padding) // stride)),
+              -((r - padding - n) // stride)) for r in range(stride)] for n in sp]
+    # pad g once, by the most any phase reads beyond the output extent;
+    # zeros + a slice write, as np.pad's own cost rivals the copy on small maps
+    outs = g.shape[2:]
+    pad = [(max(0, max(t - 1 - lo for t, lo, _ in ax)),
+            max(0, max(hi for _, _, hi in ax) - o)) for ax, o in zip(plan, outs)]
+    every = (slice(None), slice(None))
+    gp = g
+    if any(map(any, pad)):
+        gp = np.zeros(g.shape[:2] + tuple(o + a + z for o, (a, z) in zip(outs, pad)), g.dtype)
+        gp[every + tuple(slice(a, a + o) for o, (a, _) in zip(outs, pad))] = g
+    flip = every + (slice(None, None, -1),) * dims
+    in_last = (0,) + tuple(range(2, dims + 2)) + (1,)
+    gx = None if stride == 1 else np.zeros(x_shape, dtype=g.dtype)
+    for phase in itertools.product(range(stride), repeat=dims):
+        axes = [ax[r] for ax, r in zip(plan, phase)]
+        taps = tuple(t for t, _, _ in axes)
+        if 0 in taps or any(hi <= lo for _, lo, hi in axes):
+            continue
+        src = tuple(slice(lo - t + 1 + left, hi + left)
+                    for (t, lo, hi), (left, _) in zip(axes, pad))
+        view, q = _windows(gp[every + src], taps, 1)
+        col = np.ascontiguousarray(view).reshape(b, -1, math.prod(q))
+        # (out * taps, in) rows in col's (out, *taps) order
+        sub = w[every + tuple(slice(r, None, stride) for r in phase)][flip]
+        sub = sub.transpose(in_last).reshape(-1, in_ch)
+        part = np.matmul(sub.T, col).reshape((b, in_ch) + q)
+        if gx is None:
+            return part
+        gx[every + tuple(slice(r + lo * stride - padding, None, stride)
+                         for r, (_, lo, _) in zip(phase, axes))] = part
+    return gx
 
 
 def _check_spatial_input(x: Tensor, dims: int, opname: str):
@@ -278,8 +313,7 @@ def conv(x: Tensor, weight: Parameter, bias: Optional[Parameter],
             gw = np.matmul(g2, col.transpose(0, 2, 1)).sum(axis=0)
             gw = gw.reshape(weight.shape)
         if x.requires_grad:
-            dcol = np.matmul(w2.T, g2)
-            gx = _col2im(dcol, x.shape, k, stride, padding)
+            gx = _conv_input_grad(g, weight.data, x.shape, stride, padding)
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
     inputs = (x, weight, bias) if bias is not None else (x, weight)

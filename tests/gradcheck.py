@@ -62,9 +62,10 @@ def _to_probabilities(arrays):
 
 
 def _case_elementwise():
-    four = ndc.Tensor(np.full((3, 4), 4.0), dtype=np.float64)
-    return (lambda r: [r.normal(size=(3, 4)), r.normal(size=(3, 4))],
-            lambda a, b: (a + b) * a - b / (a * a + four), None)
+    def fwd(a, b):
+        four = ndc.Tensor(np.full((3, 4), 4.0), dtype=a.dtype)
+        return (a + b) * a - b / (a * a + four)
+    return (lambda r: [r.normal(size=(3, 4)), r.normal(size=(3, 4))], fwd, None)
 
 
 def _case_broadcast_add():
@@ -97,9 +98,8 @@ def _case_reductions():
     return (lambda r: [r.normal(size=(3, 4, 2))], fwd, None)
 
 
-def _conv_case(dims, stride, padding, k):
-    batch, in_ch, out_ch = (2, 2, 3) if k == 3 else (1, 1, 1)
-    sp = ((5, 4) if dims == 2 else (5, 4, 4)) if k == 3 else (7, 7, 7)
+def _conv_case(dims, stride, padding, k, sp, channels=(2, 2, 3)):
+    batch, in_ch, out_ch = channels
 
     def make(r):
         return [r.normal(size=(batch, in_ch) + sp),
@@ -134,8 +134,8 @@ def _case_global_avgpool():
 
 def _batchnorm_case(mode):
     def fwd(x, scale, shift):
-        rm = np.zeros(3)
-        rv = np.ones(3)
+        rm = np.zeros(3, dtype=x.dtype)
+        rv = np.ones(3, dtype=x.dtype)
         return ndc.batchnorm(x, scale, shift, rm, rv, mode=mode)
     return (lambda r: [r.normal(size=(4, 3, 2)), r.normal(size=3) + 2.0,
                        r.normal(size=3)], fwd, None)
@@ -196,10 +196,17 @@ GRAD_CASES = {
     "reshape_transpose": _case_reshape_transpose(),
     "concat_split": _case_concat_split(),
     "reductions": _case_reductions(),
-    "conv2d_s1": _conv_case(2, 1, 0, 3),
-    "conv2d_s2p1": _conv_case(2, 2, 1, 3),
-    "conv3d_s1p1": _conv_case(3, 1, 1, 3),
-    "conv3d_k7s2p3": _conv_case(3, 2, 3, 7),
+    "conv2d_s1": _conv_case(2, 1, 0, 3, (5, 4)),
+    "conv2d_s2p1": _conv_case(2, 2, 1, 3, (5, 4)),
+    "conv3d_s1p1": _conv_case(3, 1, 1, 3, (5, 4, 4)),
+    "conv3d_k7s2p3": _conv_case(3, 2, 3, 7, (7, 7, 7), (1, 1, 1)),
+    # the remaining conv shapes the models use: dense bottleneck, ResNet
+    # projection shortcut, a strided 3x3x3 whose windows miss the last input
+    # plane on two axes (n - k odd), and the ViT patch embedding
+    "conv3d_k1s1": _conv_case(3, 1, 0, 1, (3, 4, 2), (2, 3, 2)),
+    "conv2d_k1s2": _conv_case(2, 2, 0, 1, (5, 4)),
+    "conv3d_s2_odd": _conv_case(3, 2, 0, 3, (4, 5, 6), (1, 2, 2)),
+    "conv3d_k8s8": _conv_case(3, 8, 0, 8, (8, 8, 9), (1, 1, 2)),
     "maxpool2d": _maxpool_case(2),
     "maxpool3d": _maxpool_case(3),
     "avgpool2d": _avgpool_case(2),

@@ -30,6 +30,32 @@ def conv_nd_loops(x, w, b, stride, padding):
     return y
 
 
+def conv_nd_vjp_loops(x, w, g, stride, padding):
+    """Gradients (gx, gw, gb) of conv_nd_loops for output gradient g, by
+    routing each output position's gradient back through its window."""
+    dims = x.ndim - 2
+    batch, in_ch = x.shape[:2]
+    out_ch = w.shape[0]
+    k = w.shape[2]
+    pad = ((0, 0), (0, 0)) + ((padding, padding),) * dims
+    xp = np.pad(x, pad)
+    gxp = np.zeros(xp.shape, dtype=np.float64)
+    gw = np.zeros(w.shape, dtype=np.float64)
+    gb = np.zeros(out_ch, dtype=np.float64)
+    for n in range(batch):
+        for f in range(out_ch):
+            for opos in np.ndindex(*g.shape[2:]):
+                go = g[(n, f) + opos]
+                gb[f] += go
+                for c in range(in_ch):
+                    for kpos in np.ndindex(*(k,) * dims):
+                        ipos = tuple(opos[d] * stride + kpos[d] for d in range(dims))
+                        gxp[(n, c) + ipos] += go * w[(f, c) + kpos]
+                        gw[(f, c) + kpos] += go * xp[(n, c) + ipos]
+    crop = tuple(slice(padding, padding + e) for e in x.shape[2:])
+    return gxp[(slice(None), slice(None)) + crop], gw, gb
+
+
 def maxpool_nd_loops(x, k, stride, padding):
     dims = x.ndim - 2
     batch, ch = x.shape[:2]

@@ -59,6 +59,7 @@ from oracles import (
     avgpool_nd_loops,
     bh_stepup,
     conv_nd_loops,
+    conv_nd_vjp_loops,
     maxpool_nd_loops,
 )
 
@@ -182,6 +183,27 @@ def test_criterion_4_oracle_equivalence():
             ap = ndc.avgpool(ndc.Tensor(x), 2, 2)
             np.testing.assert_allclose(ap.data, avgpool_nd_loops(x, 2, 2),
                                        atol=1e-6)
+
+    # conv backward (gx, gw, gb) vs routing each output gradient back through
+    # its window; extents k+1 and k+2 put n + 2p - k both on and off the
+    # stride grid
+    for dims in (2, 3):
+        for k in (1, 3, 7):
+            sp = (k + 1, k + 2, k)[:dims]
+            for stride in (1, 2):
+                for padding in range(k // 2 + 1):
+                    x = rng.normal(size=(1, 2) + sp)
+                    w = rng.normal(size=(2, 2) + (k,) * dims)
+                    b = rng.normal(size=2)
+                    with ndc.Tape():
+                        xt = ndc.Tensor(x, requires_grad=True)
+                        wt, bt = ndc.Parameter(w), ndc.Parameter(b)
+                        y = ndc.conv(xt, wt, bt, stride=stride, padding=padding)
+                        g = rng.normal(size=y.shape)
+                        ndc.backward(ndc.sum_(y * ndc.Tensor(g)))
+                    want = conv_nd_vjp_loops(x, w, g, stride, padding)
+                    for got, ref in zip((xt.grad, wt.grad, bt.grad), want):
+                        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
 
     # trapezoid AUC vs pairwise counting, 100 random vectors with ties
     for _ in range(100):

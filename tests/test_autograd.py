@@ -22,6 +22,21 @@ def test_gradients_match_finite_differences(name, seed):
     assert_grads_match(make_arrays, forward, seed, nudge=nudge)
 
 
+@pytest.mark.parametrize("name", sorted(GRAD_CASES))
+def test_float32_gradients_keep_tensor_dtype(name):
+    make_arrays, forward, nudge = GRAD_CASES[name]
+    arrays = [np.asarray(a, dtype=np.float64)
+              for a in make_arrays(np.random.default_rng(0))]
+    if nudge:
+        arrays = nudge(arrays)
+    with ndc.Tape():
+        tensors = [ndc.Tensor(a, requires_grad=True, dtype=np.float32)
+                   for a in arrays]
+        ndc.backward(ndc.sum_(forward(*tensors)))
+    for i, t in enumerate(tensors):
+        assert t.grad.dtype == t.dtype, (name, i, t.grad.dtype)
+
+
 def test_backward_populates_unreached_with_zero():
     with ndc.Tape():
         a = ndc.Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)

@@ -119,6 +119,21 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
 
 
+    def test_bad_raw_extent_is_data_error(self, tmp_path):
+        from pasfusion.datapipe import Sample, SampleManifest
+
+        scan = tmp_path / "scan.rvol"
+        header = json.dumps({"extents": [2.0, 4, 4], "dtype": "f32le"})
+        scan.write_bytes(header.encode() + b"\n" + bytes(4 * 32))
+        SampleManifest(samples=[Sample("p1", "mri", 0, str(scan), "train")]).save(
+            tmp_path / "manifest.json")
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"manifest": str(tmp_path / "manifest.json"),
+                                   "profile": "micro"}))
+        code = main(["preprocess", "--config", str(cfg), "--out", str(tmp_path / "pp")])
+        assert code == EXIT_DATA
+
+
 class TestArtifacts:
     def test_synth_writes_manifest_and_run_record(self, dataset_dir):
         data = dataset_dir / "data"

@@ -11,6 +11,8 @@ from pasfusion.datapipe import (
     ManifestError,
     NotNiftiError,
     Pairing,
+    PreprocessError,
+    RawFormatError,
     Sample,
     SampleManifest,
     TruncatedNiftiError,
@@ -132,6 +134,18 @@ class TestRawFormats:
         write_rimg(path, img)
         assert read_rimg(path).tobytes() == img.tobytes()
 
+    @pytest.mark.parametrize("suffix, extents", [
+        ("rvol", [-1, 4, 4]), ("rvol", [0, 4, 4]), ("rvol", [2.0, 4, 4]),
+        ("rvol", ["4", 4, 4]), ("rvol", [True, 4, 4]),
+        ("rimg", [4, None]), ("rimg", [2 ** 40, 2 ** 40])])
+    def test_bad_extent_rejected(self, tmp_path, suffix, extents):
+        path = tmp_path / f"bad.{suffix}"
+        header = json.dumps({"extents": extents, "dtype": "f32le"})
+        path.write_bytes(header.encode() + b"\n" + bytes(4 * 64))
+        reader = {"rvol": read_rvol, "rimg": read_rimg}[suffix]
+        with pytest.raises(RawFormatError):
+            reader(path)
+
 
 class TestPreprocessMri:
     def test_output_grid_and_range(self, rng):
@@ -176,6 +190,20 @@ class TestPreprocessMri:
         interior = out[4:-4, 0, 0]      # away from the clamped borders
         diffs = np.diff(interior)
         np.testing.assert_allclose(diffs, diffs[0], atol=1e-9)
+
+
+class TestNonFiniteInput:
+    def test_nan_voxel_rejected(self, rng):
+        vox = rng.random((16, 16, 8)).astype(np.float32)
+        vox[3, 4, 5] = np.nan
+        with pytest.raises(PreprocessError, match="non-finite"):
+            preprocess_mri(Volume(voxels=vox), target=(32, 32, 16))
+
+    def test_inf_pixel_rejected(self, rng):
+        img = rng.random((64, 48)).astype(np.float32)
+        img[10, 7] = np.inf
+        with pytest.raises(PreprocessError, match="non-finite"):
+            preprocess_us(img, target=(56, 56))
 
 
 class TestPreprocessUs:

@@ -154,6 +154,28 @@ class TestConfigDefaults:
             TrainConfig(model="tabular")
 
 
+class TestFloat32Gradients:
+    @pytest.mark.parametrize("kind", ["mri", "us", "fusion"])
+    def test_train_step_gradients_are_float32(self, kind):
+        from pasfusion.trainer.loop import _loss, _model_inputs
+
+        profile = get_profile("micro")
+        rng = np.random.default_rng(0)
+        batch = {"volumes": rng.random((2, 1) + profile.mri_input, dtype=np.float32),
+                 "images": rng.random((2, 3) + profile.us_input, dtype=np.float32),
+                 "labels": np.array([0, 1])}
+        cfg = TrainConfig(model=kind, profile="micro").resolved()
+        weights = np.array([0.75, 1.5], dtype=np.float32)
+        model = build_model(kind, profile, seed=0)
+        model.train()
+        with ndc.Tape():
+            out = model(*_model_inputs(batch, kind))
+            ndc.backward(_loss(out, batch["labels"], cfg, weights))
+        wrong = [(p.name, p.grad.dtype) for p in model.parameters()
+                 if p.grad.dtype != np.float32]
+        assert not wrong, f"{len(wrong)} float64 gradients, e.g. {wrong[:3]}"
+
+
 class TestTrainLoop:
     def test_curves_have_epoch_length_and_loss_drops(self, tiny_dataset):
         cfg = TrainConfig(model="us", profile="micro", epochs=5, seed=1,
