@@ -355,18 +355,14 @@ def _cmd_eval(cli: CliConfig) -> int:
     from .datapipe import SampleManifest
     from .evalstats import report_from_scores, roc_svg, write_json
     from .models.profiles import get_profile
-    from .trainer import (PreprocessCache, TrainConfig, evaluate,
-                          items_from_pairs, items_from_samples)
+    from .trainer import PreprocessCache, TrainConfig, evaluate, items_for
 
     model, kind, sidecar = _load_model_from_checkpoint(
         _require(cli.config, "checkpoint"), cli.profile)
     manifest = SampleManifest.load(_require(cli.config, "manifest"))
     split = cli.config.get("split", "test")
     profile = get_profile(cli.profile or sidecar.get("profile", "micro"))
-    if kind == "fusion":
-        items = items_from_pairs(manifest, split)
-    else:
-        items = items_from_samples(manifest.modality_samples(kind, split), kind)
+    items = items_for(manifest, kind, split)
     if not items:
         from .trainer import DataError
         raise DataError(f"no {kind} samples in split {split!r}")
@@ -387,7 +383,7 @@ def _cmd_explain(cli: CliConfig) -> int:
     from .evalstats import write_json
     from .gradcam import gradcam, render_overlay
     from .models.profiles import get_profile
-    from .trainer import PreprocessCache, items_from_pairs, items_from_samples
+    from .trainer import PreprocessCache, items_for
 
     model, kind, sidecar = _load_model_from_checkpoint(
         _require(cli.config, "checkpoint"), cli.profile)
@@ -398,10 +394,7 @@ def _cmd_explain(cli: CliConfig) -> int:
     profile = get_profile(cli.profile or sidecar.get("profile", "micro"))
     cache = PreprocessCache(profile)
 
-    if kind == "fusion":
-        items = items_from_pairs(manifest, split)
-    else:
-        items = items_from_samples(manifest.modality_samples(kind, split), kind)
+    items = items_for(manifest, kind, split)
     wanted = cli.config.get("patients")
     if wanted:
         items = [it for it in items if it.patient_id in set(wanted)]

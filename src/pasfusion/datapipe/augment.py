@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .niftiio import Volume
-from .preprocess import resample_volume_cubic
+from .preprocess import _resample_axis_cubic
 
 ZOOM_RANGE = (1.1, 1.3)
 ROTATION_DEGREES = 10.0
@@ -30,11 +30,13 @@ def sample_rng(global_seed: int, patient_id: str, epoch: int,
 
 
 def zoom_center_crop(vox: np.ndarray, factor: float) -> np.ndarray:
-    scaled = tuple(max(1, int(round(e * factor))) for e in vox.shape)
-    big = resample_volume_cubic(vox.astype(np.float64), scaled)
-    starts = tuple((s - e) // 2 for s, e in zip(scaled, vox.shape))
-    region = tuple(slice(st, st + e) for st, e in zip(starts, vox.shape))
-    return big[region]
+    """Zoom by ``factor`` and keep the centre ``vox.shape`` window; only the
+    kept voxels are resampled, one axis at a time."""
+    out = vox.astype(np.float64)
+    for axis, e in enumerate(vox.shape):
+        scaled = max(1, int(round(e * factor)))
+        out = _resample_axis_cubic(out, scaled, axis, start=(scaled - e) // 2, count=e)
+    return out
 
 
 def augment_mri(volume: Volume, rng: np.random.Generator) -> Volume:

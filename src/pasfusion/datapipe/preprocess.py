@@ -27,11 +27,15 @@ def catmull_rom(t: np.ndarray) -> np.ndarray:
     return np.where(t <= 1.0, near, np.where(t < 2.0, far, 0.0))
 
 
-def _resample_axis_cubic(arr: np.ndarray, n_out: int, axis: int) -> np.ndarray:
+def _resample_axis_cubic(arr: np.ndarray, n_out: int, axis: int,
+                         start: int = 0, count: int | None = None) -> np.ndarray:
+    """Resample ``axis`` to ``n_out`` positions, computing only the ``count``
+    positions from ``start`` on (default: all of them)."""
     n_in = arr.shape[axis]
-    if n_out == n_in:
+    count = n_out if count is None else count
+    if n_out == n_in and (start, count) == (0, n_in):
         return arr
-    x = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    x = (np.arange(start, start + count) + 0.5) * (n_in / n_out) - 0.5
     base = np.floor(x).astype(np.int64)
     t = x - base
     idx = np.clip(np.stack([base - 1, base, base + 1, base + 2]), 0, n_in - 1)
@@ -108,8 +112,7 @@ def preprocess_us(pixels: np.ndarray, target=(224, 224)) -> np.ndarray:
         raise PreprocessError(f"expected single-channel image, got shape {pixels.shape}")
     if pixels.size == 0:
         raise PreprocessError("empty image")
-    unit = minmax_unit(pixels.astype(np.float64))
-    u8 = np.clip(np.floor(unit * 255.0 + 0.5), 0, 255)   # round half up
+    u8 = quantize_u8(pixels)
     resized = _resample_axis_bilinear(u8, target[0], 0)
     resized = _resample_axis_bilinear(resized, target[1], 1)
     one = (resized / 255.0).astype(np.float32)

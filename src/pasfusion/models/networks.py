@@ -97,7 +97,8 @@ class FusionNet(Module):
         self.rng_holder = RngHolder(seed)
         self.mri = MriFeatureExtractor(profile)
         self.us = ResNet50Trunk(profile)
-        self.fc1 = Linear(profile.fused_feature, profile.fusion_hidden)
+        self.fc1 = Linear(profile.combined_feature + self.us.out_features,
+                          profile.fusion_hidden)
         self.drop = Dropout(dropout, self.rng_holder)
         self.fc2 = Linear(profile.fusion_hidden, 1)
 

@@ -45,37 +45,6 @@ class ScaleProfile:
     def combined_feature(self) -> int:
         return self.dense_feature + self.embed_dim
 
-    @property
-    def resnet_expansion(self) -> int:
-        return 4
-
-    @property
-    def us_feature(self) -> int:
-        return self.stem_channels * 8 * self.resnet_expansion
-
-    @property
-    def fused_feature(self) -> int:
-        return self.combined_feature + self.us_feature
-
-    def densenet_channels(self) -> list[int]:
-        """Channel count entering each dense block (after the stem / transitions)."""
-        ch = self.stem_channels
-        entering = []
-        for i, layers in enumerate(self.dense_block_layers):
-            entering.append(ch)
-            ch += layers * self.growth_rate
-            if i < len(self.dense_block_layers) - 1:
-                ch //= 2
-        return entering
-
-    def densenet_final_channels(self) -> int:
-        ch = self.stem_channels
-        for i, layers in enumerate(self.dense_block_layers):
-            ch += layers * self.growth_rate
-            if i < len(self.dense_block_layers) - 1:
-                ch //= 2
-        return ch
-
 
 PAPER = ScaleProfile(
     name="paper",

@@ -22,7 +22,6 @@ from .ops import (
     global_avgpool,
     layernorm,
     linear,
-    loss,
     matmul,
     maxpool,
     mean,
@@ -42,7 +41,7 @@ __all__ = [
     "ShapeError", "GradError", "ops",
     "conv", "maxpool", "avgpool", "global_avgpool", "batchnorm", "layernorm",
     "activation", "relu", "gelu", "sigmoid", "softmax", "linear", "concat",
-    "split", "mhsa", "dropout", "loss", "cross_entropy", "bce_loss",
+    "split", "mhsa", "dropout", "cross_entropy", "bce_loss",
     "matmul", "reshape", "transpose", "mean", "sum_",
     "dump_arrays", "load_arrays", "ContainerError",
 ]

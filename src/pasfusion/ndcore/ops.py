@@ -719,15 +719,6 @@ def bce_loss(probs: Tensor, targets) -> Tensor:
     return record(out, (probs,), backward_fn)
 
 
-def loss(kind: str, prediction: Tensor, targets, class_weights=None,
-         label_smoothing: float = 0.0) -> Tensor:
-    if kind == "cross_entropy":
-        return cross_entropy(prediction, targets, class_weights, label_smoothing)
-    if kind == "bce":
-        return bce_loss(prediction, targets)
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
 # -- operator bindings -------------------------------------------------------
 
 Tensor.__add__ = add

@@ -6,6 +6,7 @@ from .data import (
     assemble_batch,
     build_training_items,
     epoch_batches,
+    items_for,
     items_from_pairs,
     items_from_samples,
     load_raw_image,
@@ -31,7 +32,7 @@ __all__ = [
     "comparative_protocol", "summarize_runs", "best_epoch_index",
     "NumericError", "DataError", "MODEL_KINDS",
     "PreprocessCache", "Item", "assemble_batch", "build_training_items",
-    "epoch_batches", "items_from_pairs", "items_from_samples",
+    "epoch_batches", "items_for", "items_from_pairs", "items_from_samples",
     "load_raw_volume", "load_raw_image",
     "save_checkpoint", "load_checkpoint", "snapshot_state",
 ]

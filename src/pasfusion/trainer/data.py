@@ -95,19 +95,23 @@ def items_from_pairs(manifest: SampleManifest, split: str | None) -> list[Item]:
             for p in manifest.pairs(split)]
 
 
+def items_for(manifest: SampleManifest, model_kind: str, split: str | None) -> list[Item]:
+    """One split's items for a model kind: pairs for fusion, else samples."""
+    if model_kind == "fusion":
+        return items_from_pairs(manifest, split)
+    return items_from_samples(manifest.modality_samples(model_kind, split), model_kind)
+
+
 def build_training_items(manifest: SampleManifest, model_kind: str,
                          oversample: bool, seed: int) -> tuple[list[Item], list[Item]]:
     """-> (train items, val items) for the given model kind."""
-    if model_kind == "fusion":
-        train = items_from_pairs(manifest, "train")
-        val = items_from_pairs(manifest, "val")
-    else:
-        train_samples = manifest.modality_samples(model_kind, "train")
-        if oversample:
-            train_samples = oversample_minority(train_samples, seed)
+    if oversample and model_kind != "fusion":
+        train_samples = oversample_minority(
+            manifest.modality_samples(model_kind, "train"), seed)
         train = items_from_samples(train_samples, model_kind)
-        val = items_from_samples(manifest.modality_samples(model_kind, "val"),
-                                 model_kind)
+    else:
+        train = items_for(manifest, model_kind, "train")
+    val = items_for(manifest, model_kind, "val")
     if not train:
         raise DataError(f"no training samples for model {model_kind!r}")
     if not val:

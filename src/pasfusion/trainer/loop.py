@@ -23,8 +23,8 @@ from .data import (
     assemble_batch,
     build_training_items,
     epoch_batches,
+    items_for,
     items_from_pairs,
-    items_from_samples,
 )
 from .optim import Adam, PlateauScheduler, SchedulerConfig
 
@@ -98,9 +98,13 @@ class RunRecord:
     best_val_accuracy: float = -1.0
     test_metrics: Optional[dict] = None
     checkpoint_path: Optional[str] = None
+    # (fpr, tpr, threshold) of the test score; kept out of the reports
+    roc_points: Optional[list] = None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        out = asdict(self)
+        del out["roc_points"]
+        return out
 
 
 def best_epoch_index(val_accuracy: list[float]) -> int:
@@ -134,10 +138,10 @@ def _scores(output, model_kind: str) -> np.ndarray:
 
 
 def evaluate(model, items: list[Item], cache: PreprocessCache,
-             cfg: TrainConfig, weights=None, batch_size: Optional[int] = None):
+             cfg: TrainConfig, weights=None):
     """Eval-mode pass over ``items``: labels, scores, mean loss."""
     model.eval()
-    bs = batch_size or cfg.batch_size
+    bs = cfg.batch_size
     labels_all, scores_all = [], []
     loss_total, n_total = 0.0, 0
     with ndc.no_grad():
@@ -166,11 +170,14 @@ def _class_weight_vector(items: list[Item]) -> np.ndarray:
 def train(config: TrainConfig, manifest: SampleManifest,
           out_dir: Optional[str] = None,
           cache: Optional[PreprocessCache] = None,
-          warm_states: Optional[tuple] = None) -> tuple[RunRecord, object]:
+          warm_states: Optional[tuple] = None,
+          test_items: Optional[list[Item]] = None) -> tuple[RunRecord, object]:
     """Run the full protocol for one seed; returns (record, best-state model).
 
     ``warm_states`` short-circuits ``config.warm_start`` with in-memory state
     dicts (used by the comparative protocol to avoid re-reading files).
+    ``test_items`` are scored with the best weights into ``test_metrics`` and
+    ``roc_points``; by default the manifest's own test split.
     """
     cfg = config.resolved()
     profile = get_profile(cfg.profile)
@@ -236,10 +243,13 @@ def train(config: TrainConfig, manifest: SampleManifest,
                              if not k.startswith("adam.")})
     model.eval()
 
-    test_items = _test_items(manifest, cfg.model)
+    if test_items is None:
+        test_items = items_for(manifest, cfg.model, "test")
     if test_items:
         test = evaluate(model, test_items, cache, cfg, weights)
-        record.test_metrics = report_from_scores(test["labels"], test["scores"]).as_dict()
+        report = report_from_scores(test["labels"], test["scores"])
+        record.test_metrics = report.as_dict()
+        record.roc_points = report.roc_points
 
     if out_dir is not None:
         path = Path(out_dir) / f"{cfg.model}_seed{cfg.seed}.ckpt"
@@ -251,13 +261,6 @@ def train(config: TrainConfig, manifest: SampleManifest,
         # stored relative to the run directory so reports stay path-free
         record.checkpoint_path = path.name
     return record, model
-
-
-def _test_items(manifest: SampleManifest, model_kind: str) -> list[Item]:
-    if model_kind == "fusion":
-        return items_from_pairs(manifest, "test")
-    return items_from_samples(manifest.modality_samples(model_kind, "test"),
-                              model_kind)
 
 
 def summarize_runs(metric_dicts: list[dict]) -> dict:
@@ -299,8 +302,8 @@ def comparative_protocol(mri_manifest: SampleManifest, us_manifest: SampleManife
                          n_runs: int = 5, batch_size: int = 8,
                          out_dir: Optional[str] = None) -> dict:
     """Train MRI and US on their large manifests and the warm-started fusion
-    model on the paired manifest, then evaluate all three on the identical
-    paired test split.  Repeated ``n_runs`` times with shifted seeds."""
+    model on the paired manifest; ``train`` scores each of the three on the
+    identical paired test split.  Repeated ``n_runs`` times with shifted seeds."""
     from ..evalstats import compare_models
 
     epochs = epochs or {}
@@ -308,47 +311,34 @@ def comparative_protocol(mri_manifest: SampleManifest, us_manifest: SampleManife
     test_pairs = items_from_pairs(paired_manifest, "test")
     if not test_pairs:
         raise DataError("paired manifest has no test pairs")
-    mri_test = [replace(it, us_uri=None) for it in test_pairs]
-    us_test = [replace(it, mri_uri=None) for it in test_pairs]
+    manifests = {"mri": mri_manifest, "us": us_manifest, "fusion": paired_manifest}
+    test_items = {"mri": [replace(it, us_uri=None) for it in test_pairs],
+                  "us": [replace(it, mri_uri=None) for it in test_pairs],
+                  "fusion": test_pairs}
 
-    metrics_by_model: dict[str, list[dict]] = {"fusion": [], "mri": [], "us": []}
     records_by_model: dict[str, list[RunRecord]] = {"fusion": [], "mri": [], "us": []}
-    roc_last: dict[str, list] = {}
-
     for i in range(n_runs):
         seed = base_seed + i
-        run_states = {}
-        for kind, man in (("mri", mri_manifest), ("us", us_manifest)):
+        states = {}
+        for kind in MODEL_KINDS:
             cfg = TrainConfig(model=kind, profile=profile, seed=seed,
-                              batch_size=batch_size,
-                              epochs=epochs.get(kind, 10))
-            record, model = train(cfg, man, out_dir=out_dir, cache=cache)
-            run_states[kind] = snapshot_state(model)
-            test = evaluate(model, mri_test if kind == "mri" else us_test,
-                            cache, cfg.resolved())
-            rep = report_from_scores(test["labels"], test["scores"])
-            metrics_by_model[kind].append(rep.as_dict())
-            roc_last[kind] = rep.roc_points
+                              batch_size=batch_size, epochs=epochs.get(kind, 10))
+            warm = (states["mri"], states["us"]) if kind == "fusion" else None
+            record, model = train(cfg, manifests[kind], out_dir=out_dir,
+                                  cache=cache, warm_states=warm,
+                                  test_items=test_items[kind])
+            if kind != "fusion":
+                states[kind] = snapshot_state(model)
             records_by_model[kind].append(record)
 
-        fusion_cfg = TrainConfig(model="fusion", profile=profile, seed=seed,
-                                 batch_size=batch_size,
-                                 epochs=epochs.get("fusion", 10))
-        record, model = train(fusion_cfg, paired_manifest, out_dir=out_dir,
-                              cache=cache,
-                              warm_states=(run_states["mri"], run_states["us"]))
-        test = evaluate(model, test_pairs, cache, fusion_cfg.resolved())
-        rep = report_from_scores(test["labels"], test["scores"])
-        metrics_by_model["fusion"].append(rep.as_dict())
-        roc_last["fusion"] = rep.roc_points
-        records_by_model["fusion"].append(record)
-
+    metrics_by_model = {m: [r.test_metrics for r in rs]
+                        for m, rs in records_by_model.items()}
     return {
         "metrics": metrics_by_model,
         "records": records_by_model,
         "summaries": {m: summarize_runs(v) for m, v in metrics_by_model.items()},
         "comparison": (compare_models(metrics_by_model) if n_runs >= 2
                        else {"note": "comparison needs >= 2 runs"}),
-        "roc": roc_last,
+        "roc": {kind: records_by_model[kind][-1].roc_points for kind in MODEL_KINDS},
         "test_size": len(test_pairs),
     }

@@ -58,12 +58,6 @@ class Adam:
             state[f"adam.v/{name}"] = self.v[name]
         return state
 
-    def load_state_arrays(self, state: dict[str, np.ndarray], t: int):
-        self.t = t
-        for name in self.m:
-            self.m[name] = state[f"adam.m/{name}"].astype(np.float32)
-            self.v[name] = state[f"adam.v/{name}"].astype(np.float32)
-
 
 @dataclass
 class SchedulerConfig:

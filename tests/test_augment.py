@@ -1,5 +1,6 @@
 """Augmentation geometry: involution identities, zoom growth, rotation stats."""
 import numpy as np
+import pytest
 
 from pasfusion.datapipe import (
     Volume,
@@ -9,6 +10,7 @@ from pasfusion.datapipe import (
     sample_rng,
     zoom_center_crop,
 )
+from pasfusion.datapipe.preprocess import resample_volume_cubic
 
 
 class TestMriAugment:
@@ -39,6 +41,20 @@ class TestMriAugment:
         count_out = (out > 0.5).sum()
         growth = count_out / count_in
         assert abs(growth - factor ** 3) / factor ** 3 < 0.10
+
+    @pytest.mark.parametrize("shape", [(32, 32, 16), (17, 23, 9), (3, 4, 5)])
+    @pytest.mark.parametrize("factor", [1.1, 1.3, 1.2345])
+    def test_zoom_equals_full_resample_then_centre_slice(self, rng, shape, factor):
+        # (3, 4, 5) at 1.1 rounds two axes back to their own size
+        vox = rng.random(shape).astype(np.float32)
+        scaled = tuple(max(1, int(round(e * factor))) for e in shape)
+        big = resample_volume_cubic(vox.astype(np.float64), scaled)
+        region = tuple(slice((s - e) // 2, (s - e) // 2 + e)
+                       for s, e in zip(scaled, shape))
+        expected = big[region]
+        out = zoom_center_crop(vox, factor)
+        assert out.shape == shape and out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
 
     def test_determinism_per_stream(self, rng):
         vol = Volume(voxels=rng.random((16, 16, 8)).astype(np.float32))

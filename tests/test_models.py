@@ -9,6 +9,7 @@ from pasfusion.models import (
     PAPER,
     DenseBlock,
     DenseNet3dBranch,
+    FusionNet,
     ScaleProfile,
     Transition,
     UsResNet50Net,
@@ -51,11 +52,14 @@ class TestProfiles:
     def test_paper_derived_dims(self):
         assert PAPER.vit_tokens == 256
         assert PAPER.combined_feature == 896
-        assert PAPER.us_feature == 2048
-        assert PAPER.fused_feature == 2944
-        assert PAPER.densenet_final_channels() == 1024
-        # channel count entering each block: 64, 128, 256, 512
-        assert PAPER.densenet_channels() == [64, 128, 256, 512]
+        # widths come from the built modules (constructors allocate zeros)
+        model = FusionNet(PAPER)
+        assert model.us.out_features == 2048
+        assert model.fc1.weight.shape == (PAPER.fusion_hidden, 2944)
+        assert model.mri.dense.final_channels == 1024
+        # channel count entering each dense block
+        assert [block.layers[0].conv1.weight.shape[1]
+                for block in model.mri.dense.blocks] == [64, 128, 256, 512]
 
     def test_micro_profile_values(self):
         assert MICRO.mri_input == (32, 32, 16) and MICRO.us_input == (56, 56)
@@ -166,8 +170,8 @@ class TestShapeLedger:
         assert out.shapes["f_dense"] == MICRO.dense_feature
         assert out.shapes["f_vit"] == MICRO.embed_dim
         assert out.shapes["f_combined"] == MICRO.combined_feature
-        assert out.shapes["f_us"] == MICRO.us_feature
-        assert out.shapes["fused"] == MICRO.fused_feature
+        assert out.shapes["f_us"] == model.us.out_features == 256
+        assert out.shapes["fused"] == MICRO.combined_feature + 256
         assert out.shapes["output"] == 1
         assert 0.0 < out.probability.data[0, 0] < 1.0
 
@@ -195,13 +199,13 @@ class TestShapeLedger:
         with ndc.no_grad():
             out = model.eval()(_img())
         # 56 -> 28 (stem) -> 14 (pool) -> 14 -> 7 -> 4 -> 2 across stages
-        assert out.shapes["final_map"] == (1, MICRO.us_feature, 2, 2)
-        assert out.shapes["f_us"] == MICRO.us_feature
+        assert out.shapes["final_map"] == (1, 256, 2, 2)
+        assert out.shapes["f_us"] == model.trunk.out_features == 256
 
     def test_fusion_head_on_zero_features_matches_hand_oracle(self):
         model = build_model("fusion", MICRO, seed=5)
         model.eval()
-        zero = ndc.Tensor(np.zeros((1, MICRO.fused_feature), np.float32))
+        zero = ndc.Tensor(np.zeros((1, model.fc1.weight.shape[1]), np.float32))
         with ndc.no_grad():
             hidden = model.drop(ndc.relu(model.fc1(zero)))
             got = ndc.sigmoid(model.fc2(hidden)).data[0, 0]

@@ -18,6 +18,7 @@ from pasfusion.trainer import (
     TrainConfig,
     adam_update,
     best_epoch_index,
+    comparative_protocol,
     evaluate,
     load_checkpoint,
     multi_run,
@@ -241,6 +242,34 @@ class TestMultiRun:
         cfg = TrainConfig(model="us", profile="micro", epochs=1, seed=10)
         result = multi_run(cfg, tiny_dataset, n_runs=3)
         assert [r.seed for r in result["records"]] == [10, 11, 12]
+
+
+class TestComparativeProtocol:
+    def test_each_trained_model_scored_once(self, tiny_dataset, monkeypatch):
+        from pasfusion.trainer import loop
+
+        calls = []
+        original = loop.evaluate
+
+        def counting(model, items, cache, cfg, *args, **kwargs):
+            calls.append(cfg.model)
+            return original(model, items, cache, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(loop, "evaluate", counting)
+        result = comparative_protocol(
+            tiny_dataset.unimodal("mri"), tiny_dataset.unimodal("us"),
+            tiny_dataset, profile="micro", n_runs=1,
+            epochs={"mri": 1, "us": 1, "fusion": 1})
+        # one validation score per epoch plus one test score per trained model
+        assert {kind: calls.count(kind) for kind in ("mri", "us", "fusion")} \
+            == {"mri": 2, "us": 2, "fusion": 2}
+        n_test = len(tiny_dataset.pairs("test"))
+        assert result["test_size"] == n_test
+        for kind in ("mri", "us", "fusion"):
+            [record] = result["records"][kind]
+            assert record.test_metrics == result["metrics"][kind][0]
+            assert result["roc"][kind] is record.roc_points
+            assert "roc_points" not in record.as_dict()
 
 
 class TestCheckpointFiles:
