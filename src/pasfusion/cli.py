@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .atomic import write_atomic
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -150,7 +152,7 @@ def _write_run_record(cli: CliConfig, extra: dict | None = None) -> None:
         payload.update(extra)
     out = Path(cli.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "run.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
+    write_atomic(out / "run.json", json.dumps(payload, indent=1, sort_keys=True))
 
 
 def _require(config: dict, key: str):
@@ -321,12 +323,12 @@ def _cmd_compare(cli: CliConfig) -> int:
     write_metrics_csv(out / "runs.csv", rows,
                       ["model", "run", "accuracy", "auc", "precision",
                        "recall", "f1"])
-    (out / "roc.svg").write_text(roc_svg(result["roc"], title="shared test set ROC"))
+    write_atomic(out / "roc.svg", roc_svg(result["roc"], title="shared test set ROC"))
     metric_names = ["accuracy", "auc", "precision", "recall", "f1"]
     series = {m: [result["summaries"][m][k]["mean"] for k in metric_names]
               for m in result["metrics"]}
-    (out / "metrics.svg").write_text(grouped_bar_svg(metric_names, series,
-                                                     title="mean test metrics"))
+    write_atomic(out / "metrics.svg",
+                 grouped_bar_svg(metric_names, series, title="mean test metrics"))
     _write_run_record(cli, {"test_size": result["test_size"]})
     for model, summary in result["summaries"].items():
         acc = summary["accuracy"]
@@ -372,7 +374,7 @@ def _cmd_eval(cli: CliConfig) -> int:
     out = Path(cli.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "metrics.json", report.as_dict())
-    (out / "roc.svg").write_text(roc_svg({kind: report.roc_points}))
+    write_atomic(out / "roc.svg", roc_svg({kind: report.roc_points}))
     _write_run_record(cli, {"split": split, "n": len(items)})
     print(f"{kind} on {split}: accuracy {report.accuracy:.4f} auc {report.auc:.4f}")
     return EXIT_OK

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import write_atomic
+
 MANIFEST_VERSION = 1
 SPLITS = ("train", "val", "test")
 
@@ -88,7 +90,7 @@ class SampleManifest:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True))
+        write_atomic(path, json.dumps(self.to_dict(), indent=1, sort_keys=True))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SampleManifest":

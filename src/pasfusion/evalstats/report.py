@@ -2,18 +2,19 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
+
+from ..atomic import write_atomic
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True))
+    write_atomic(path, json.dumps(payload, indent=1, sort_keys=True))
 
 
 def write_metrics_csv(path, rows: list[dict], columns: list[str]) -> None:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(row.get(c, "")) for c in columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _fmt(value) -> str:

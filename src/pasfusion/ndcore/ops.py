@@ -2,12 +2,17 @@
 normalizations, activations, attention, dropout and classification losses.
 
 Every function builds its result with numpy, then registers a backward
-closure on the active tape via ``record``.  Convolution and pooling use an
-n-dimensional im2col built on stride tricks; the col buffer only outlives
-the forward call while a tape is recording, so full-size eval passes stay
-inside a small memory envelope.  The convolution's input gradient is a
-transposed convolution, one stride-1 im2col correlation per stride phase
-(``_conv_input_grad``); there is no scatter-add loop over kernel taps.
+closure on the active tape via ``record``.  Convolution keeps the
+channels-first API, (B, C, *sp) tensors and (out, in, *k) weights, but works
+on channels-last columns inside: ``_columns`` turns a zero-padded
+channels-last copy of the input into one (B*n_out, k^d*C) matrix for the
+whole batch, which the forward and the weight gradient each multiply once.  The
+input gradient is a transposed convolution, one stride-1 column GEMM of the
+output gradient per stride phase (``_conv_input_grad``); there is no
+scatter-add loop over kernel taps.  The column buffer only outlives the
+forward call while a tape is recording, so full-size eval passes stay inside
+a small memory envelope.  Pooling uses an n-dimensional window view built on
+stride tricks.
 """
 from __future__ import annotations
 
@@ -188,31 +193,69 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # convolution / pooling
 # --------------------------------------------------------------------------
 
-def _out_extent(ext: int, k: int, stride: int, padding: int) -> int:
-    return (ext + 2 * padding - k) // stride + 1
+def _windows(a: np.ndarray, ksizes, stride: int, first: int = 2):
+    """Strided view over the spatial windows of a padded array, plus the
+    output extents: the spatial axes ``first, first+1, ...`` become
+    ``(*O, *K)`` in place, and the other axes keep theirs."""
+    d = len(ksizes)
+    st = a.strides[first:first + d]
+    outs = tuple((e - kk) // stride + 1 for e, kk in zip(a.shape[first:first + d], ksizes))
+    shape = a.shape[:first] + outs + tuple(ksizes) + a.shape[first + d:]
+    strides = a.strides[:first] + tuple(s * stride for s in st) + st + a.strides[first + d:]
+    return as_strided(a, shape, strides), outs
 
 
-def _windows(padded: np.ndarray, ksizes, stride) -> np.ndarray:
-    """Strided view (B, C, *K, *O) over spatial windows of a padded array."""
-    b, c = padded.shape[:2]
-    sp = padded.shape[2:]
-    outs = tuple((sp[i] - ksizes[i]) // stride + 1 for i in range(len(sp)))
-    strides = padded.strides
-    view_shape = (b, c) + tuple(ksizes) + outs
-    view_strides = strides[:2] + strides[2:] + tuple(s * stride for s in strides[2:])
-    return as_strided(padded, shape=view_shape, strides=view_strides), outs
+def _to_last(ndim: int) -> tuple:
+    """Axes that move axis 1 to the end: (B, C, *sp) -> (B, *sp, C)."""
+    return (0,) + tuple(range(2, ndim)) + (1,)
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, padding: int):
-    """(B, C, *sp) -> (B, C*k^d, n_out) column matrix plus output extents."""
-    dims = x.ndim - 2
-    if padding:
-        pad = ((0, 0), (0, 0)) + ((padding, padding),) * dims
-        x = np.pad(x, pad)
-    view, outs = _windows(x, (k,) * dims, stride)
-    b, c = x.shape[:2]
-    col = np.ascontiguousarray(view).reshape(b, c * k ** dims, int(np.prod(outs)))
-    return col, outs
+def _to_first(ndim: int) -> tuple:
+    """Axes that move the last axis to position 1: (B, *sp, C) -> (B, C, *sp)."""
+    return (0, ndim - 1) + tuple(range(1, ndim - 1))
+
+
+def _channels_last(a: np.ndarray, pad) -> np.ndarray:
+    """(B, C, *sp) -> (B, *sp, C), zero-padded by ``pad`` ((lo, hi) per axis).
+
+    Unpadded, the result is a view of ``a``; padded, the transpose rides on
+    the one copy that the padding makes anyway (zeros + a slice write, as
+    ``np.pad``'s own cost rivals the copy on small maps).
+    """
+    cl = a.transpose(_to_last(a.ndim))
+    if not any(map(any, pad)):
+        return cl
+    sp = a.shape[2:]
+    out = np.zeros((a.shape[0],) + tuple(lo + e + hi for e, (lo, hi) in zip(sp, pad))
+                   + (a.shape[1],), a.dtype)
+    out[(slice(None),) + tuple(slice(lo, lo + e) for e, (lo, _) in zip(sp, pad))] = cl
+    return out
+
+
+def _columns(cl: np.ndarray, ksizes, stride: int):
+    """Channels-last columns of a (B, *sp, C) array, plus the output extents.
+
+    Row ``(b, *o)``, column ``(*t, c)`` of the ``(B*n_out, prod(ksizes)*C)``
+    result holds ``cl[b, *(o*stride + t), c]``.  The reshape copies only where
+    windows overlap or skip positions, so a 1x1 stride-1 column of one sample
+    is a view.
+    """
+    view, outs = _windows(cl, ksizes, stride, first=1)
+    return view.reshape(cl.shape[0] * math.prod(outs), -1), outs
+
+
+# rows per BLAS call in ``_gemm``: on two threads, one call over all rows of
+# a paper-scale column made OpenBLAS pack, and keep resident, ~55 MB more of
+# its buffers (a paper fusion prediction's peak RSS rose 855 -> 909 MB)
+_GEMM_ROWS = 2048
+
+
+def _gemm(col: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``col @ w``, one BLAS call per block of ``_GEMM_ROWS`` rows."""
+    out = np.empty((col.shape[0], w.shape[1]), np.result_type(col, w))
+    for i in range(0, col.shape[0], _GEMM_ROWS):
+        np.matmul(col[i:i + _GEMM_ROWS], w, out=out[i:i + _GEMM_ROWS])
+    return out
 
 
 def _conv_input_grad(g: np.ndarray, w: np.ndarray, x_shape, stride: int,
@@ -233,18 +276,14 @@ def _conv_input_grad(g: np.ndarray, w: np.ndarray, x_shape, stride: int,
     # per axis, per phase r: (taps, lo, hi)
     plan = [[(len(range(r, k, stride)), max(0, -((r - padding) // stride)),
               -((r - padding - n) // stride)) for r in range(stride)] for n in sp]
-    # pad g once, by the most any phase reads beyond the output extent;
-    # zeros + a slice write, as np.pad's own cost rivals the copy on small maps
+    # pad g once, by the most any phase reads beyond the output extent
     outs = g.shape[2:]
     pad = [(max(0, max(t - 1 - lo for t, lo, _ in ax)),
             max(0, max(hi for _, _, hi in ax) - o)) for ax, o in zip(plan, outs)]
-    every = (slice(None), slice(None))
-    gp = g
-    if any(map(any, pad)):
-        gp = np.zeros(g.shape[:2] + tuple(o + a + z for o, (a, z) in zip(outs, pad)), g.dtype)
-        gp[every + tuple(slice(a, a + o) for o, (a, _) in zip(outs, pad))] = g
-    flip = every + (slice(None, None, -1),) * dims
-    in_last = (0,) + tuple(range(2, dims + 2)) + (1,)
+    gp = _channels_last(g, pad)
+    # kernel as (*k, out, in), flipped per phase below: rows match col's (*taps, out)
+    wl = w.transpose(tuple(range(2, dims + 2)) + (0, 1))
+    flip = (slice(None, None, -1),) * dims
     gx = None if stride == 1 else np.zeros(x_shape, dtype=g.dtype)
     for phase in itertools.product(range(stride), repeat=dims):
         axes = [ax[r] for ax, r in zip(plan, phase)]
@@ -253,16 +292,13 @@ def _conv_input_grad(g: np.ndarray, w: np.ndarray, x_shape, stride: int,
             continue
         src = tuple(slice(lo - t + 1 + left, hi + left)
                     for (t, lo, hi), (left, _) in zip(axes, pad))
-        view, q = _windows(gp[every + src], taps, 1)
-        col = np.ascontiguousarray(view).reshape(b, -1, math.prod(q))
-        # (out * taps, in) rows in col's (out, *taps) order
-        sub = w[every + tuple(slice(r, None, stride) for r in phase)][flip]
-        sub = sub.transpose(in_last).reshape(-1, in_ch)
-        part = np.matmul(sub.T, col).reshape((b, in_ch) + q)
+        col, q = _columns(gp[(slice(None),) + src], taps, 1)
+        sub = wl[tuple(slice(r, None, stride) for r in phase)][flip].reshape(-1, in_ch)
+        part = _gemm(col, sub).reshape((b,) + q + (in_ch,)).transpose(_to_first(dims + 2))
         if gx is None:
-            return part
-        gx[every + tuple(slice(r + lo * stride - padding, None, stride)
-                         for r, (_, lo, _) in zip(phase, axes))] = part
+            return np.ascontiguousarray(part)
+        gx[(slice(None),) * 2 + tuple(slice(r + lo * stride - padding, None, stride)
+                                      for r, (_, lo, _) in zip(phase, axes))] = part
     return gx
 
 
@@ -291,27 +327,29 @@ def conv(x: Tensor, weight: Parameter, bias: Optional[Parameter],
         raise ShapeError(
             f"conv channel axis mismatch: input has {x.shape[1]}, weight expects {in_ch}")
     for ax, ext in enumerate(x.shape[2:]):
-        if _out_extent(ext, k, stride, padding) < 1:
+        if ext + 2 * padding < k:
             raise ShapeError(
                 f"conv produces non-positive extent on spatial axis {ax} "
                 f"(input {ext}, kernel {k}, stride {stride}, padding {padding})")
 
     b = x.shape[0]
-    col, outs = _im2col(x.data, k, stride, padding)
-    w2 = weight.data.reshape(out_ch, -1)
-    y = np.matmul(w2, col)
+    col, outs = _columns(_channels_last(x.data, ((padding, padding),) * dims),
+                         (k,) * dims, stride)
+    # (out, *k, in) rows, matching col's (*tap, c) columns
+    w2 = weight.data.transpose(_to_last(dims + 2)).reshape(out_ch, -1)
+    y = _gemm(col, w2.T)
     if bias is not None:
-        y = y + bias.data.reshape(1, out_ch, 1)
-    out = Tensor(y.reshape((b, out_ch) + tuple(outs)))
+        y += bias.data
+    out = Tensor(y.reshape((b,) + outs + (out_ch,)).transpose(_to_first(dims + 2)))
 
     def backward_fn(g, col=col):
-        g2 = g.reshape(b, out_ch, -1)
         gx = gw = gb = None
         if bias is not None and bias.requires_grad:
-            gb = g2.sum(axis=(0, 2))
+            gb = g.sum(axis=(0,) + tuple(range(2, g.ndim)))
         if weight.requires_grad:
-            gw = np.matmul(g2, col.transpose(0, 2, 1)).sum(axis=0)
-            gw = gw.reshape(weight.shape)
+            g2 = g.transpose(_to_last(g.ndim)).reshape(-1, out_ch)
+            gw = (g2.T @ col).reshape((out_ch,) + (k,) * dims + (in_ch,))
+            gw = np.ascontiguousarray(gw.transpose(_to_first(gw.ndim)))
         if x.requires_grad:
             gx = _conv_input_grad(g, weight.data, x.shape, stride, padding)
         return (gx, gw, gb) if bias is not None else (gx, gw)
@@ -338,10 +376,10 @@ def maxpool(x: Tensor, k: int, stride: int, padding: int = 0,
                     constant_values=neg) if padding else x.data
     view, outs = _windows(padded, (k,) * dims, stride)
     n_out = int(np.prod(outs))
-    flat = np.ascontiguousarray(view).reshape(b, c, k ** dims, n_out)
-    arg = flat.argmax(axis=2)
-    out = Tensor(np.take_along_axis(flat, arg[:, :, None, :], axis=2)
-                 .squeeze(2).reshape((b, c) + tuple(outs)))
+    flat = np.ascontiguousarray(view).reshape(b, c, n_out, k ** dims)
+    arg = flat.argmax(axis=3)
+    out = Tensor(np.take_along_axis(flat, arg[..., None], axis=3)
+                 .squeeze(3).reshape((b, c) + tuple(outs)))
 
     padded_sp = padded.shape[2:]
 
@@ -385,8 +423,8 @@ def avgpool(x: Tensor, k: int, stride: int, dims: Optional[int] = None) -> Tenso
     view, outs = _windows(x.data, ksizes, stride)
     n_out = int(np.prod(outs))
     divisor = int(np.prod(ksizes))
-    flat = np.ascontiguousarray(view).reshape(b, c, divisor, n_out)
-    out = Tensor(flat.mean(axis=2).reshape((b, c) + tuple(outs)))
+    flat = np.ascontiguousarray(view).reshape(b, c, n_out, divisor)
+    out = Tensor(flat.mean(axis=3).reshape((b, c) + tuple(outs)))
 
     def backward_fn(g):
         dcol = np.broadcast_to(

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
+from ..atomic import write_atomic
 from ..ndcore import dump_arrays, load_arrays
 
 
@@ -22,10 +23,10 @@ def snapshot_state(model, optimizer=None) -> dict[str, np.ndarray]:
 def save_checkpoint(path, state: dict[str, np.ndarray], sidecar: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(dump_arrays(state))
+    write_atomic(path, dump_arrays(state))
     meta = dict(sidecar)
     meta.setdefault("version", __version__)
-    Path(str(path) + ".json").write_text(json.dumps(meta, indent=1, sort_keys=True))
+    write_atomic(str(path) + ".json", json.dumps(meta, indent=1, sort_keys=True))
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

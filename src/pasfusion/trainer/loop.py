@@ -180,6 +180,11 @@ def train(config: TrainConfig, manifest: SampleManifest,
     ``roc_points``; by default the manifest's own test split.
     """
     cfg = config.resolved()
+    if test_items is None:
+        test_items = items_for(manifest, cfg.model, "test")
+    if test_items and len({it.label for it in test_items}) < 2:
+        # its AUC is undefined; fail before training, not after
+        raise DataError(f"{cfg.model} test split holds a single class")
     profile = get_profile(cfg.profile)
     cache = cache or PreprocessCache(profile)
     train_items, val_items = build_training_items(
@@ -243,8 +248,6 @@ def train(config: TrainConfig, manifest: SampleManifest,
                              if not k.startswith("adam.")})
     model.eval()
 
-    if test_items is None:
-        test_items = items_for(manifest, cfg.model, "test")
     if test_items:
         test = evaluate(model, test_items, cache, cfg, weights)
         report = report_from_scores(test["labels"], test["scores"])

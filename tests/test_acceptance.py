@@ -186,15 +186,16 @@ def test_criterion_4_oracle_equivalence():
 
     # conv backward (gx, gw, gb) vs routing each output gradient back through
     # its window; extents k+1 and k+2 put n + 2p - k both on and off the
-    # stride grid
+    # stride grid; two samples and 2 -> 3 channels, so a weight gradient that
+    # mixes the batch with positions or swaps in with out fails
     for dims in (2, 3):
         for k in (1, 3, 7):
             sp = (k + 1, k + 2, k)[:dims]
             for stride in (1, 2):
                 for padding in range(k // 2 + 1):
-                    x = rng.normal(size=(1, 2) + sp)
-                    w = rng.normal(size=(2, 2) + (k,) * dims)
-                    b = rng.normal(size=2)
+                    x = rng.normal(size=(2, 2) + sp)
+                    w = rng.normal(size=(3, 2) + (k,) * dims)
+                    b = rng.normal(size=3)
                     with ndc.Tape():
                         xt = ndc.Tensor(x, requires_grad=True)
                         wt, bt = ndc.Parameter(w), ndc.Parameter(b)

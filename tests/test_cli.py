@@ -119,6 +119,28 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
 
 
+    def test_single_class_test_split_fails_before_training(self, dataset_dir, tmp_path,
+                                                           monkeypatch):
+        import pasfusion.trainer.loop as loop
+
+        manifest = json.loads((dataset_dir / "data" / "manifest.json").read_text())
+        for sample in manifest["samples"]:
+            if sample["split"] == "test" and sample["label"] == 1:
+                sample["split"] = "val"
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a training batch was assembled")
+
+        monkeypatch.setattr(loop, "assemble_batch", no_batch)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "trainer": {"model": "us", "profile": "micro", "epochs": 1, "seed": 0},
+            "manifest": str(tmp_path / "m.json")}))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
+        assert not list(out.glob("*.ckpt"))
+
     def test_bad_raw_extent_is_data_error(self, tmp_path):
         from pasfusion.datapipe import Sample, SampleManifest
 

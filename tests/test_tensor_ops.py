@@ -53,6 +53,40 @@ class TestConv:
         want = conv_nd_loops(x, w, b, stride, padding)
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("in_ch,k,stride,padding", [
+        (3, 1, 1, 0),   # at batch 1 the column of contiguous x aliases it
+        (3, 1, 2, 0),
+        (3, 3, 1, 1),
+        (1, 7, 2, 3),
+    ])
+    @pytest.mark.parametrize("layout", ["moveaxis", "strided"])
+    def test_non_contiguous_input_is_bitwise_contiguous(self, rng, batch, in_ch, k,
+                                                        stride, padding, layout):
+        sp = (9, 8)
+        if layout == "moveaxis":
+            base = rng.normal(size=(batch, sp[1], sp[0], in_ch)).astype(np.float32)
+            strided = np.moveaxis(base, (3, 2), (1, 2))
+        else:
+            base = rng.normal(size=(batch, in_ch, 2 * sp[0], sp[1] + 3)).astype(np.float32)
+            strided = base[:, :, ::2, 1:-2]
+        assert strided.shape == (batch, in_ch) + sp and not strided.flags.c_contiguous
+        w = rng.normal(size=(4, in_ch, k, k)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        results = []
+        for data in (strided, np.ascontiguousarray(strided)):
+            with ndc.Tape():
+                x = ndc.Tensor(np.zeros_like(data), requires_grad=True)
+                x.data = data       # the constructor would make a contiguous copy
+                wt, bt = ndc.Parameter(w), ndc.Parameter(b)
+                y = ndc.conv(x, wt, bt, stride=stride, padding=padding)
+                g = np.random.default_rng(5).normal(size=y.shape).astype(np.float32)
+                ndc.backward(ndc.sum_(y * ndc.Tensor(g)))
+            results.append((y.data, x.grad, wt.grad, bt.grad))
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_channel_mismatch_names_axis(self):
         x = _t(np.zeros((1, 3, 4, 4)))
         w = _param(np.zeros((2, 4, 3, 3)))
