@@ -28,8 +28,8 @@ class Sample:
     force_augment: bool = False   # set on oversampled duplicates, not serialized
 
     def validate(self):
-        if not self.patient_id:
-            raise ManifestError("sample with empty patient_id")
+        if not all(isinstance(v, str) and v for v in (self.patient_id, self.uri)):
+            raise ManifestError(f"bad patient_id/uri {self.patient_id!r}/{self.uri!r}")
         if self.modality not in ("mri", "us"):
             raise ManifestError(f"bad modality {self.modality!r}")
         if self.label not in (0, 1):
@@ -102,10 +102,13 @@ class SampleManifest:
             pairing = [Pairing(patient_id=p["patient_id"], mri=p["mri"],
                                us=p["us"], label=int(p["label"]))
                        for p in data.get("pairing", [])]
-        except (KeyError, TypeError) as exc:
+            return cls(samples=samples, pairing=pairing,
+                       version=int(data.get("version", MANIFEST_VERSION))).validate()
+        except ManifestError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # TypeError also covers an unhashable pairing uri met by validate()
             raise ManifestError(f"manifest schema violation: {exc}") from None
-        return cls(samples=samples, pairing=pairing,
-                   version=int(data.get("version", MANIFEST_VERSION))).validate()
 
     @classmethod
     def load(cls, path) -> "SampleManifest":

@@ -37,8 +37,10 @@ def _read(path, rank: int) -> np.ndarray:
         raise RawFormatError(f"{path}: missing header line")
     try:
         header = json.loads(blob[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:     # also the decode errors and over-long integers
         raise RawFormatError(f"{path}: bad header ({exc})") from None
+    if not isinstance(header, dict):
+        raise RawFormatError(f"{path}: header is not a JSON object")
     if header.get("dtype") != "f32le":
         raise RawFormatError(f"{path}: unsupported dtype {header.get('dtype')!r}")
     extents = header.get("extents")

@@ -4,15 +4,15 @@ normalizations, activations, attention, dropout and classification losses.
 Every function builds its result with numpy, then registers a backward
 closure on the active tape via ``record``.  Convolution keeps the
 channels-first API, (B, C, *sp) tensors and (out, in, *k) weights, but works
-on channels-last columns inside: ``_columns`` turns a zero-padded
-channels-last copy of the input into one (B*n_out, k^d*C) matrix for the
-whole batch, which the forward and the weight gradient each multiply once.  The
-input gradient is a transposed convolution, one stride-1 column GEMM of the
-output gradient per stride phase (``_conv_input_grad``); there is no
-scatter-add loop over kernel taps.  The column buffer only outlives the
-forward call while a tape is recording, so full-size eval passes stay inside
-a small memory envelope.  Pooling uses an n-dimensional window view built on
-stride tricks.
+on channels-last columns inside.  No window expansion is built whole:
+``_row_blocks`` cuts the output axes of a strided window view (``_windows``)
+into blocks of at most ``_BLOCK_ROWS`` rows, and copies and multiplies (or
+reduces) one block at a time into a preallocated output.  It serves conv's
+forward, each stride phase of the transposed-convolution input gradient
+(``_conv_input_grad``) and maxpool's forward.  A conv keeps its column blocks
+only while a tape records and its weight requires a gradient, whose GEMM
+``sum(g_block.T @ col_block)`` is their one reader.  Eval-mode batchnorm is
+one per-channel affine.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf
 
-from .tensor import Parameter, ShapeError, Tensor, record
+from .tensor import Parameter, ShapeError, Tensor, active_tape, record
 
 __all__ = [
     "add", "sub", "mul", "div", "neg", "matmul", "reshape", "transpose",
@@ -232,30 +232,31 @@ def _channels_last(a: np.ndarray, pad) -> np.ndarray:
     return out
 
 
-def _columns(cl: np.ndarray, ksizes, stride: int):
-    """Channels-last columns of a (B, *sp, C) array, plus the output extents.
-
-    Row ``(b, *o)``, column ``(*t, c)`` of the ``(B*n_out, prod(ksizes)*C)``
-    result holds ``cl[b, *(o*stride + t), c]``.  The reshape copies only where
-    windows overlap or skip positions, so a 1x1 stride-1 column of one sample
-    is a view.
-    """
-    view, outs = _windows(cl, ksizes, stride, first=1)
-    return view.reshape(cl.shape[0] * math.prod(outs), -1), outs
+# rows per block in ``_row_blocks``: on two threads, one BLAS call over all
+# rows of a paper-scale column made OpenBLAS pack, and keep resident, ~55 MB
+# more of its buffers (a paper fusion prediction's peak RSS rose 855 -> 909 MB)
+_BLOCK_ROWS = 2048
 
 
-# rows per BLAS call in ``_gemm``: on two threads, one call over all rows of
-# a paper-scale column made OpenBLAS pack, and keep resident, ~55 MB more of
-# its buffers (a paper fusion prediction's peak RSS rose 855 -> 909 MB)
-_GEMM_ROWS = 2048
-
-
-def _gemm(col: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``col @ w``, one BLAS call per block of ``_GEMM_ROWS`` rows."""
-    out = np.empty((col.shape[0], w.shape[1]), np.result_type(col, w))
-    for i in range(0, col.shape[0], _GEMM_ROWS):
-        np.matmul(col[i:i + _GEMM_ROWS], w, out=out[i:i + _GEMM_ROWS])
-    return out
+def _row_blocks(view: np.ndarray, lead: int, fn, outs, kept: Optional[list] = None):
+    """Call ``fn(rows, *out_blocks)`` per block of at most ``_BLOCK_ROWS``
+    entries of ``view``'s first ``lead`` axes.  ``rows`` copies the block's
+    windows into a (rows, window) matrix, freed after the call unless
+    ``kept`` collects ``(index, rows)``; each out block is the same entries
+    of an array in ``outs``, a view with its trailing axes flattened.  A
+    small map is one block; larger ones are cut along one axis."""
+    shape, width = view.shape[:lead], math.prod(view.shape[lead:])
+    ax, inner = lead - 1, 1
+    while ax > 0 and inner * shape[ax] <= _BLOCK_ROWS:
+        inner, ax = inner * shape[ax], ax - 1
+    step = _BLOCK_ROWS // inner
+    for head in np.ndindex(*shape[:ax]):
+        for i in range(0, shape[ax], step):
+            index = head + (slice(i, i + step),)
+            rows = view[index].reshape(-1, width)
+            fn(rows, *[o[index].reshape((-1,) + o.shape[lead:]) for o in outs])
+            if kept is not None:
+                kept.append((index, rows))
 
 
 def _conv_input_grad(g: np.ndarray, w: np.ndarray, x_shape, stride: int,
@@ -292,9 +293,11 @@ def _conv_input_grad(g: np.ndarray, w: np.ndarray, x_shape, stride: int,
             continue
         src = tuple(slice(lo - t + 1 + left, hi + left)
                     for (t, lo, hi), (left, _) in zip(axes, pad))
-        col, q = _columns(gp[(slice(None),) + src], taps, 1)
+        view, q = _windows(gp[(slice(None),) + src], taps, 1, first=1)
         sub = wl[tuple(slice(r, None, stride) for r in phase)][flip].reshape(-1, in_ch)
-        part = _gemm(col, sub).reshape((b,) + q + (in_ch,)).transpose(_to_first(dims + 2))
+        part = np.empty((b,) + q + (in_ch,), np.result_type(g, w))
+        _row_blocks(view, dims + 1, lambda col, dst: np.matmul(col, sub, out=dst), (part,))
+        part = part.transpose(_to_first(dims + 2))
         if gx is None:
             return np.ascontiguousarray(part)
         gx[(slice(None),) * 2 + tuple(slice(r + lo * stride - padding, None, stride)
@@ -332,23 +335,26 @@ def conv(x: Tensor, weight: Parameter, bias: Optional[Parameter],
                 f"conv produces non-positive extent on spatial axis {ax} "
                 f"(input {ext}, kernel {k}, stride {stride}, padding {padding})")
 
-    b = x.shape[0]
-    col, outs = _columns(_channels_last(x.data, ((padding, padding),) * dims),
-                         (k,) * dims, stride)
-    # (out, *k, in) rows, matching col's (*tap, c) columns
+    view, outs = _windows(_channels_last(x.data, ((padding, padding),) * dims),
+                          (k,) * dims, stride, first=1)
+    # (out, *k, in) rows, matching the columns' (*tap, c) order
     w2 = weight.data.transpose(_to_last(dims + 2)).reshape(out_ch, -1)
-    y = _gemm(col, w2.T)
+    y = np.empty((x.shape[0],) + outs + (out_ch,), np.result_type(x.data, w2))
+    # the column blocks, kept only for the weight gradient, their one reader
+    cols = [] if weight.requires_grad and active_tape() is not None else None
+    _row_blocks(view, dims + 1, lambda col, dst: np.matmul(col, w2.T, out=dst), (y,), cols)
     if bias is not None:
         y += bias.data
-    out = Tensor(y.reshape((b,) + outs + (out_ch,)).transpose(_to_first(dims + 2)))
+    out = Tensor(y.transpose(_to_first(dims + 2)))
 
-    def backward_fn(g, col=col):
+    def backward_fn(g):
         gx = gw = gb = None
         if bias is not None and bias.requires_grad:
             gb = g.sum(axis=(0,) + tuple(range(2, g.ndim)))
-        if weight.requires_grad:
-            g2 = g.transpose(_to_last(g.ndim)).reshape(-1, out_ch)
-            gw = (g2.T @ col).reshape((out_ch,) + (k,) * dims + (in_ch,))
+        if cols is not None:
+            gl = g.transpose(_to_last(g.ndim))
+            gw = sum(gl[index].reshape(-1, out_ch).T @ col for index, col in cols)
+            gw = gw.reshape((out_ch,) + (k,) * dims + (in_ch,))
             gw = np.ascontiguousarray(gw.transpose(_to_first(gw.ndim)))
         if x.requires_grad:
             gx = _conv_input_grad(g, weight.data, x.shape, stride, padding)
@@ -376,27 +382,25 @@ def maxpool(x: Tensor, k: int, stride: int, padding: int = 0,
                     constant_values=neg) if padding else x.data
     view, outs = _windows(padded, (k,) * dims, stride)
     n_out = int(np.prod(outs))
-    flat = np.ascontiguousarray(view).reshape(b, c, n_out, k ** dims)
-    arg = flat.argmax(axis=3)
-    out = Tensor(np.take_along_axis(flat, arg[..., None], axis=3)
-                 .squeeze(3).reshape((b, c) + tuple(outs)))
+    y, arg = np.empty((b, c) + outs, x.dtype), np.empty((b, c) + outs, np.intp)
+
+    def reduce(win, top, where):
+        np.argmax(win, axis=1, out=where)
+        top[:] = np.take_along_axis(win, where[:, None], axis=1)[:, 0]
+
+    _row_blocks(view, dims + 2, reduce, (y, arg))
+    out = Tensor(y)
 
     padded_sp = padded.shape[2:]
 
     def backward_fn(g):
-        g2 = g.reshape(b, c, n_out)
-        kidx = np.unravel_index(arg, (k,) * dims)
+        kidx = np.unravel_index(arg.reshape(b * c, n_out), (k,) * dims)
         oidx = np.unravel_index(np.arange(n_out), outs)
-        flat_pos = np.zeros((b, c, n_out), dtype=np.int64)
-        mult = 1
-        for ax in range(dims - 1, -1, -1):
-            coord = kidx[ax] + oidx[ax][None, None, :] * stride
-            flat_pos += coord * mult
-            mult *= padded_sp[ax]
-        plane = int(np.prod(padded_sp))
-        base = (np.arange(b * c) * plane).reshape(b, c, 1)
+        pos = np.ravel_multi_index(tuple(t + o * stride for t, o in zip(kidx, oidx)),
+                                   padded_sp)
+        plane = math.prod(padded_sp)
         dpad = np.zeros(b * c * plane, dtype=g.dtype)
-        np.add.at(dpad, (flat_pos + base).ravel(), g2.ravel())
+        np.add.at(dpad, (pos + np.arange(b * c)[:, None] * plane).ravel(), g.ravel())
         dpad = dpad.reshape((b, c) + padded_sp)
         if padding:
             crop = tuple(slice(padding, padding + e) for e in x.shape[2:])
@@ -509,17 +513,21 @@ def batchnorm(x: Tensor, scale: Parameter, shift: Parameter,
     if mode != "eval":
         raise ValueError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
     inv = 1.0 / np.sqrt(running_var + eps)
-    xhat = (x.data - running_mean.reshape(bshape)) * inv.reshape(bshape)
-    out = Tensor(xhat * scale.data.reshape(bshape) + shift.data.reshape(bshape))
+    m = running_mean.copy()     # train mode updates the buffer in place
+    a = (scale.data * inv).astype(x.dtype).reshape(bshape)
+    y = x.data * a
+    y += (shift.data - m * scale.data * inv).astype(x.dtype).reshape(bshape)
+    out = Tensor(y)
 
     def backward_fn(g):
         gs = gh = gx = None
         if scale.requires_grad:
+            xhat = (x.data - m.reshape(bshape)) * inv.reshape(bshape)
             gs = (g * xhat).sum(axis=axes)
         if shift.requires_grad:
             gh = g.sum(axis=axes)
         if x.requires_grad:
-            gx = g * (scale.data * inv).reshape(bshape)
+            gx = g * a
         return gx, gs, gh
 
     return record(out, (x, scale, shift), backward_fn)

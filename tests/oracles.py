@@ -74,6 +74,27 @@ def maxpool_nd_loops(x, k, stride, padding):
     return y
 
 
+def maxpool_nd_vjp_loops(x, g, k, stride, padding):
+    """Input gradient of maxpool_nd_loops for output gradient g: each window
+    routes its gradient to its first maximum in row-major window order."""
+    dims = x.ndim - 2
+    batch, ch = x.shape[:2]
+    pad = ((0, 0), (0, 0)) + ((padding, padding),) * dims
+    xp = np.pad(x.astype(np.float64), pad, constant_values=-np.inf)
+    gxp = np.zeros(xp.shape, dtype=np.float64)
+    for n in range(batch):
+        for c in range(ch):
+            for opos in np.ndindex(*g.shape[2:]):
+                best, where = -np.inf, None
+                for kpos in np.ndindex(*(k,) * dims):
+                    ipos = tuple(opos[d] * stride + kpos[d] for d in range(dims))
+                    if where is None or xp[(n, c) + ipos] > best:
+                        best, where = xp[(n, c) + ipos], ipos
+                gxp[(n, c) + where] += g[(n, c) + opos]
+    crop = tuple(slice(padding, padding + e) for e in x.shape[2:])
+    return gxp[(slice(None), slice(None)) + crop]
+
+
 def avgpool_nd_loops(x, k, stride):
     """Windowed mean with the same degenerate-axis clamp as the kernel."""
     dims = x.ndim - 2

@@ -119,6 +119,27 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
 
 
+    @pytest.mark.parametrize("fault", ["image_header", "label"])
+    def test_malformed_input_is_data_error(self, dataset_dir, tmp_path, fault):
+        manifest = json.loads((dataset_dir / "data" / "manifest.json").read_text())
+        sample = next(s for s in manifest["samples"] if s["modality"] == "us")
+        if fault == "label":
+            sample["label"] = "x"
+        else:
+            bad, uri = tmp_path / "bad.rimg", sample["uri"]
+            bad.write_bytes(b"[1, 2]\n" + bytes(64))
+            for entry in manifest["samples"] + manifest["pairing"]:
+                for key in ("uri", "us"):
+                    if entry.get(key) == uri:
+                        entry[key] = str(bad)
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "trainer": {"model": "us", "profile": "micro", "epochs": 1, "seed": 0},
+            "manifest": str(tmp_path / "m.json")}))
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+
     def test_single_class_test_split_fails_before_training(self, dataset_dir, tmp_path,
                                                            monkeypatch):
         import pasfusion.trainer.loop as loop

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pasfusion.datapipe import (
@@ -32,6 +32,14 @@ from pasfusion.datapipe import (
     write_rimg,
     write_rvol,
 )
+
+
+# any JSON value, for fuzzing readers of JSON-headed files and manifests
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10)
 
 
 class TestNifti:
@@ -145,6 +153,35 @@ class TestRawFormats:
         reader = {"rvol": read_rvol, "rimg": read_rimg}[suffix]
         with pytest.raises(RawFormatError):
             reader(path)
+
+    @pytest.mark.parametrize("suffix", ["rvol", "rimg"])
+    @pytest.mark.parametrize("header", [b"[1, 2]", b'"x"', b"3", b"null"])
+    def test_non_object_header_rejected(self, tmp_path, suffix, header):
+        path = tmp_path / f"bad.{suffix}"
+        path.write_bytes(header + b"\n" + bytes(4 * 64))
+        reader = {"rvol": read_rvol, "rimg": read_rimg}[suffix]
+        with pytest.raises(RawFormatError, match="not a JSON object"):
+            reader(path)
+
+    @given(blob=st.one_of(
+        st.binary(max_size=300),
+        st.builds(lambda head, body: json.dumps(head).encode() + b"\n" + body,
+                  st.one_of(JSON_VALUES, st.fixed_dictionaries(
+                      {"extents": st.one_of(JSON_VALUES, st.lists(
+                          st.integers(-2, 5) | JSON_VALUES, max_size=4))},
+                      optional={"dtype": st.sampled_from(["f32le", "f64le"]) | JSON_VALUES})),
+                  st.binary(max_size=600))))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_file_is_read_or_rejected(self, tmp_path, blob):
+        path = tmp_path / "fuzz.raw"
+        path.write_bytes(blob)
+        for reader, rank in ((read_rvol, 3), (read_rimg, 2)):
+            try:
+                out = reader(path)
+            except RawFormatError:
+                continue
+            assert np.asarray(getattr(out, "voxels", out)).ndim == rank
 
 
 class TestPreprocessMri:
@@ -264,6 +301,43 @@ class TestManifest:
     def test_bad_label_rejected(self):
         with pytest.raises(ManifestError):
             Sample("p", "mri", 2, "x").validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("label", "x"), ("label", None), ("label", float("inf")),
+        ("version", "abc"), ("version", None), ("version", [1]),
+        ("uri", ["a.rvol"]), ("uri", 3), ("patient_id", {"p": 1}), ("patient_id", ""),
+    ])
+    def test_malformed_field_is_manifest_error(self, field, value):
+        data = {"version": 1, "samples": [
+            {"patient_id": "p", "modality": "mri", "label": 0, "uri": "a.rvol"}]}
+        if field == "version":
+            data["version"] = value
+        else:
+            data["samples"][0][field] = value
+        with pytest.raises(ManifestError):
+            SampleManifest.from_dict(data)
+
+    @given(data=st.one_of(JSON_VALUES, st.fixed_dictionaries(
+        {"samples": st.lists(st.fixed_dictionaries(
+            {}, optional={"patient_id": st.sampled_from(["p1", "p2", ""]) | JSON_VALUES,
+                          "modality": st.sampled_from(["mri", "us"]) | JSON_VALUES,
+                          "label": st.sampled_from([0, 1, "1", 2]) | JSON_VALUES,
+                          "uri": st.sampled_from(["a", "b"]) | JSON_VALUES,
+                          "split": st.sampled_from(["train", "test"]) | JSON_VALUES}),
+            max_size=4) | JSON_VALUES},
+        optional={"version": JSON_VALUES,
+                  "pairing": st.lists(st.fixed_dictionaries(
+                      {}, optional={"patient_id": st.sampled_from(["p1", "p2"]) | JSON_VALUES,
+                                    "mri": st.sampled_from(["a", "b"]) | JSON_VALUES,
+                                    "us": st.sampled_from(["a", "b"]) | JSON_VALUES,
+                                    "label": st.sampled_from([0, 1]) | JSON_VALUES}),
+                      max_size=3) | JSON_VALUES})))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_dict_is_loaded_or_manifest_error(self, data):
+        try:
+            SampleManifest.from_dict(data)
+        except ManifestError:
+            pass
 
 
 def _make_manifest(n0: int, n1: int) -> SampleManifest:
