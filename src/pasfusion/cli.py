@@ -34,7 +34,6 @@ class ConfigError(ValueError):
 @dataclass
 class CliConfig:
     command: str
-    config_path: str | None
     out_dir: str
     overrides: list[str] = field(default_factory=list)
     seed: int | None = None
@@ -125,7 +124,7 @@ def parse_args(argv=None) -> CliConfig:
     for item in ns.overrides:
         path, value = _parse_override(item)
         _apply_override(config, path, value)
-    return CliConfig(command=ns.command, config_path=ns.config, out_dir=ns.out,
+    return CliConfig(command=ns.command, out_dir=ns.out,
                      overrides=list(ns.overrides), seed=ns.seed,
                      profile=ns.profile, deterministic=ns.deterministic,
                      verbose=ns.verbose, config=config)
@@ -347,8 +346,7 @@ def _load_model_from_checkpoint(path, profile_override=None):
     if kind not in ("mri", "us", "fusion"):
         raise ConfigError(f"checkpoint sidecar lacks a valid model kind: {kind!r}")
     model = build_model(kind, profile, seed=int(sidecar.get("seed", 0)))
-    model.load_state_arrays({k: v for k, v in state.items()
-                             if not k.startswith("adam.")})
+    model.load_state_arrays(state)
     model.eval()
     return model, kind, sidecar
 

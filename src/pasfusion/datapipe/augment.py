@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .niftiio import Volume
-from .preprocess import _resample_axis_cubic
+from .preprocess import _resample_axis, cubic_taps
 
 ZOOM_RANGE = (1.1, 1.3)
 ROTATION_DEGREES = 10.0
@@ -35,7 +35,7 @@ def zoom_center_crop(vox: np.ndarray, factor: float) -> np.ndarray:
     out = vox.astype(np.float64)
     for axis, e in enumerate(vox.shape):
         scaled = max(1, int(round(e * factor)))
-        out = _resample_axis_cubic(out, scaled, axis, start=(scaled - e) // 2, count=e)
+        out = _resample_axis(out, scaled, axis, cubic_taps, start=(scaled - e) // 2, count=e)
     return out
 
 

@@ -7,7 +7,7 @@ u8/i16/f32/f64 and scl_slope/scl_inter rescaling.  Detached-header files
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,11 +64,6 @@ class Volume:
 
     voxels: np.ndarray
     axis_order: str = "HWD"
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def extents(self):
-        return self.voxels.shape
 
 
 def _unpack_header(raw: bytes):
@@ -133,8 +128,7 @@ def read_nifti(path) -> Volume:
     slope, inter = fields["scl_slope"], fields["scl_inter"]
     if slope != 0.0:
         voxels = voxels * np.float32(slope) + np.float32(inter)
-    return Volume(voxels=np.ascontiguousarray(voxels), axis_order="HWD"[:ndim] or "HWD",
-                  meta={"datatype": code, "endian": endian})
+    return Volume(voxels=np.ascontiguousarray(voxels), axis_order="HWD"[:ndim] or "HWD")
 
 
 def write_nifti(path, volume: Volume) -> None:

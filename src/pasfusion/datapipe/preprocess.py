@@ -27,45 +27,44 @@ def catmull_rom(t: np.ndarray) -> np.ndarray:
     return np.where(t <= 1.0, near, np.where(t < 2.0, far, 0.0))
 
 
-def _resample_axis_cubic(arr: np.ndarray, n_out: int, axis: int,
-                         start: int = 0, count: int | None = None) -> np.ndarray:
-    """Resample ``axis`` to ``n_out`` positions, computing only the ``count``
-    positions from ``start`` on (default: all of them)."""
+def cubic_taps(t: np.ndarray):
+    """Catmull-Rom taps at offsets -1..2 from ``floor(x)``, for ``t = x - floor(x)``."""
+    return -1, (catmull_rom(1.0 + t), catmull_rom(t), catmull_rom(1.0 - t), catmull_rom(2.0 - t))
+
+
+def linear_taps(t: np.ndarray):
+    """Linear taps at offsets 0..1 from ``floor(x)``."""
+    return 0, (1.0 - t, t)
+
+
+def _resample_axis(arr: np.ndarray, n_out: int, axis: int, kernel,
+                   start: int = 0, count: int | None = None) -> np.ndarray:
+    """Resample ``axis`` to ``n_out`` half-pixel-centred positions with the
+    ``kernel`` taps (edge-clamped), computing only the ``count`` positions
+    from ``start`` on (default: all of them)."""
     n_in = arr.shape[axis]
     count = n_out if count is None else count
     if n_out == n_in and (start, count) == (0, n_in):
         return arr
     x = (np.arange(start, start + count) + 0.5) * (n_in / n_out) - 0.5
     base = np.floor(x).astype(np.int64)
-    t = x - base
-    idx = np.clip(np.stack([base - 1, base, base + 1, base + 2]), 0, n_in - 1)
-    w = np.stack([catmull_rom(1.0 + t), catmull_rom(t),
-                  catmull_rom(1.0 - t), catmull_rom(2.0 - t)])
+    first, weights = kernel(x - base)
+    w = np.stack(weights)
+    idx = np.clip(base + np.arange(first, first + len(w))[:, None], 0, n_in - 1)
     moved = np.moveaxis(arr, axis, 0).astype(np.float64)
-    gathered = moved[idx]                             # (4, n_out, ...)
-    out = np.einsum("kn,kn...->n...", w, gathered)
+    out = np.einsum("kn,kn...->n...", w, moved[idx])    # moved[idx]: (taps, count, ...)
     return np.moveaxis(out, 0, axis)
 
 
-def _resample_axis_bilinear(arr: np.ndarray, n_out: int, axis: int) -> np.ndarray:
-    n_in = arr.shape[axis]
-    if n_out == n_in:
-        return arr
-    x = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-    base = np.floor(x).astype(np.int64)
-    t = x - base
-    idx = np.clip(np.stack([base, base + 1]), 0, n_in - 1)
-    w = np.stack([1.0 - t, t])
-    moved = np.moveaxis(arr, axis, 0).astype(np.float64)
-    out = np.einsum("kn,kn...->n...", w, moved[idx])
-    return np.moveaxis(out, 0, axis)
+def resample(arr: np.ndarray, extents, kernel) -> np.ndarray:
+    """Resample the leading ``len(extents)`` axes to ``extents``, one axis at a time."""
+    for ax, n in enumerate(extents):
+        arr = _resample_axis(arr, n, ax, kernel)
+    return arr
 
 
 def resample_volume_cubic(vox: np.ndarray, extents) -> np.ndarray:
-    out = vox
-    for ax, n in enumerate(extents):
-        out = _resample_axis_cubic(out, n, ax)
-    return out
+    return resample(vox, extents, cubic_taps)
 
 
 def minmax_unit(arr: np.ndarray) -> np.ndarray:
@@ -113,8 +112,7 @@ def preprocess_us(pixels: np.ndarray, target=(224, 224)) -> np.ndarray:
     if pixels.size == 0:
         raise PreprocessError("empty image")
     u8 = quantize_u8(pixels)
-    resized = _resample_axis_bilinear(u8, target[0], 0)
-    resized = _resample_axis_bilinear(resized, target[1], 1)
+    resized = resample(u8, target, linear_taps)
     one = (resized / 255.0).astype(np.float32)
     return np.repeat(one[None, :, :], 3, axis=0)
 

@@ -15,20 +15,17 @@ from .stats import (
     MODEL_PAIRS,
     StatTestResult,
     StatsError,
-    betainc_reg,
     bh_fdr,
     compare_models,
-    f_sf,
     paired_ttest,
     repeated_measures_anova,
-    t_sf_two_sided,
 )
 
 __all__ = [
     "ConfusionMatrix", "MetricsReport", "MetricsError", "confusion",
     "macro_metrics", "roc_auc", "report_from_scores",
     "StatTestResult", "StatsError", "DegenerateInputError", "paired_ttest",
-    "repeated_measures_anova", "bh_fdr", "compare_models", "betainc_reg",
-    "t_sf_two_sided", "f_sf", "ALPHA", "METRIC_NAMES", "MODEL_PAIRS",
+    "repeated_measures_anova", "bh_fdr", "compare_models",
+    "ALPHA", "METRIC_NAMES", "MODEL_PAIRS",
     "write_json", "write_metrics_csv", "roc_svg", "grouped_bar_svg",
 ]

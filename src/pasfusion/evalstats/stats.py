@@ -1,9 +1,9 @@
 """Statistical comparison suite: paired t-tests, one-way repeated-measures
 ANOVA, Benjamini-Hochberg FDR, and the three-model comparison driver.
 
-The t and F tail probabilities go through a regularized incomplete beta
-evaluated by Lentz's continued fraction (1e-12 tolerance); no external
-statistics dependency.
+The t and F tail probabilities are regularized incomplete betas from
+``scipy.special`` (``betainc``, or ``betaincc`` of the complement above
+x = 1/2); ``scipy.stats`` is not imported.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc, betaincc
 
 ALPHA = 0.05
 
@@ -38,74 +39,17 @@ class StatTestResult:
                 "p_adjusted": self.p_adjusted, "significant": self.significant}
 
 
-# -- special functions -------------------------------------------------------
+def _beta_tail(a: float, b: float, num: float, rest: float) -> float:
+    """Regularized incomplete beta ``I_x(a, b)`` at ``x = num / (num + rest)``.
 
-_BETA_TOL = 1e-12
-_BETA_MAX_ITER = 500
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (Lentz's algorithm)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETA_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_TOL:
-            return h
-    raise StatsError("incomplete beta continued fraction failed to converge")
-
-
-def betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def t_sf_two_sided(t: float, dof: int) -> float:
-    """Two-sided p-value for a t statistic."""
-    x = dof / (dof + t * t)
-    return betainc_reg(dof / 2.0, 0.5, x)
-
-
-def f_sf(f: float, d1: int, d2: int) -> float:
-    """Upper-tail probability of an F statistic."""
-    if f <= 0.0:
-        return 1.0
-    x = d2 / (d2 + d1 * f)
-    return betainc_reg(d2 / 2.0, d1 / 2.0, x)
+    Near ``x = 1`` a rounding of ``x`` moves ``I_x`` by about ``a`` ulps, so
+    above one half the complement ``1 - x = rest / (num + rest)`` is the one
+    formed and ``I_x(a, b) = betaincc(b, a, 1 - x)``.
+    """
+    total = num + rest
+    if num <= rest:
+        return float(betainc(a, b, num / total))
+    return float(betaincc(b, a, rest / total))
 
 
 # -- tests ---------------------------------------------------------------------
@@ -125,7 +69,9 @@ def paired_ttest(a, b) -> StatTestResult:
         raise DegenerateInputError("zero-variance differences")
     t = d.mean() / (sd / math.sqrt(n))
     dof = n - 1
-    return StatTestResult("paired_t", float(t), (dof,), t_sf_two_sided(t, dof))
+    # two-sided tail: I_x(dof/2, 1/2) with x = dof / (dof + t^2)
+    p = _beta_tail(dof / 2.0, 0.5, dof, t * t)
+    return StatTestResult("paired_t", float(t), (dof,), p)
 
 
 def repeated_measures_anova(matrix) -> StatTestResult:
@@ -147,7 +93,9 @@ def repeated_measures_anova(matrix) -> StatTestResult:
             return StatTestResult("rm_anova", 0.0, dof, 1.0)
         raise DegenerateInputError("SS_error is zero with nonzero condition effect")
     f = (ss_cond / dof[0]) / (ss_err / dof[1])
-    return StatTestResult("rm_anova", float(f), dof, f_sf(f, *dof))
+    # upper tail: I_x(d2/2, d1/2) with x = d2 / (d2 + d1 f)
+    p = _beta_tail(dof[1] / 2.0, dof[0] / 2.0, dof[1], dof[0] * f)
+    return StatTestResult("rm_anova", float(f), dof, p)
 
 
 def bh_fdr(p_values) -> np.ndarray:

@@ -6,12 +6,12 @@ input grid (bilinear/trilinear) and min-max normalized.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import ndcore as ndc
-from ..datapipe.preprocess import _resample_axis_bilinear
+from ..datapipe.preprocess import linear_taps, resample
 
 
 class GradCamError(ValueError):
@@ -24,14 +24,10 @@ class Heatmap:
     target_layer: str
     class_index: int
     sample_id: str = ""
-    meta: dict = field(default_factory=dict)
 
 
 def upsample_linear(arr: np.ndarray, extents) -> np.ndarray:
-    out = arr.astype(np.float64)
-    for ax, n in enumerate(extents):
-        out = _resample_axis_bilinear(out, n, ax)
-    return out
+    return resample(arr.astype(np.float64), extents, linear_taps)
 
 
 def normalize_unit(cam: np.ndarray) -> np.ndarray:
@@ -117,13 +113,5 @@ def gradcam(model, inputs, class_index: int, target=None,
 
 
 def _layer_name(model, target) -> str:
-    for name, mod in _walk_named(model):
-        if mod is target:
-            return name
-    return "unregistered"
-
-
-def _walk_named(module, prefix: str = ""):
-    yield prefix.rstrip("."), module
-    for name, mod in module._modules.items():
-        yield from _walk_named(mod, f"{prefix}{name}.")
+    return next((name for name, mod in model.named_modules() if mod is target),
+                "unregistered")

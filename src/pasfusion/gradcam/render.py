@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import write_atomic
 from .cam import Heatmap
 
 ALPHA = 0.4
@@ -36,18 +37,12 @@ def jet_ramp(values: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
-def write_pgm(path, gray_u8: np.ndarray) -> None:
-    h, w = gray_u8.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(gray_u8, dtype=np.uint8).tobytes())
-
-
-def write_ppm(path, rgb_u8: np.ndarray) -> None:
-    h, w, _ = rgb_u8.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(rgb_u8, dtype=np.uint8).tobytes())
+def write_pnm(path, pixels_u8: np.ndarray) -> None:
+    """Binary PGM (P5) for an (H, W) array, PPM (P6) for (H, W, 3)."""
+    h, w = pixels_u8.shape[:2]
+    magic = "P5" if pixels_u8.ndim == 2 else "P6"
+    header = f"{magic}\n{w} {h}\n255\n".encode("ascii")
+    write_atomic(path, header + np.ascontiguousarray(pixels_u8, dtype=np.uint8).tobytes())
 
 
 def blend_overlay(source_gray: np.ndarray, heat: np.ndarray) -> np.ndarray:
@@ -84,8 +79,8 @@ def render_overlay(heatmap: Heatmap, source: np.ndarray, out_dir,
             gray = np.clip(np.rint(source[:, :, z] * 255.0), 0, 255).astype(np.uint8)
             src_path = out / f"{stem}_z{z}_source.pgm"
             ovl_path = out / f"{stem}_z{z}_overlay.ppm"
-            write_pgm(src_path, gray)
-            write_ppm(ovl_path, blend_overlay(source[:, :, z], values[:, :, z]))
+            write_pnm(src_path, gray)
+            write_pnm(ovl_path, blend_overlay(source[:, :, z], values[:, :, z]))
             slices.append({"depth": z, "source": str(src_path), "overlay": str(ovl_path)})
         files["slices"] = slices
     elif values.ndim == 2:
@@ -94,17 +89,17 @@ def render_overlay(heatmap: Heatmap, source: np.ndarray, out_dir,
         src_path = out / f"{stem}_source.pgm"
         ovl_path = out / f"{stem}_overlay.ppm"
         sbs_path = out / f"{stem}_side_by_side.ppm"
-        write_pgm(src_path, gray)
+        write_pnm(src_path, gray)
         overlay = blend_overlay(gray_src, values)
-        write_ppm(ovl_path, overlay)
+        write_pnm(ovl_path, overlay)
         src_rgb = np.repeat(gray[..., None], 3, axis=-1)
-        write_ppm(sbs_path, np.concatenate([src_rgb, overlay], axis=1))
+        write_pnm(sbs_path, np.concatenate([src_rgb, overlay], axis=1))
         files.update(source=str(src_path), overlay=str(ovl_path),
                      side_by_side=str(sbs_path))
     else:
         raise ValueError(f"cannot render rank-{values.ndim} heatmap")
 
     index_path = out / f"{stem}_index.json"
-    index_path.write_text(json.dumps(files, indent=1, sort_keys=True))
+    write_atomic(index_path, json.dumps(files, indent=1, sort_keys=True))
     files["index"] = str(index_path)
     return files

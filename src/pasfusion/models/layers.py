@@ -36,25 +36,28 @@ class Module:
         self._buffers[name] = value
         object.__setattr__(self, name, value)
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
-        for name, p in self._params.items():
-            yield (f"{prefix}{name}", p)
+    def named_modules(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
+        """Pre-order walk: this module under ``prefix``, then each submodule
+        subtree in registration order, under its dotted path."""
+        yield prefix, self
         for name, mod in self._modules.items():
-            yield from mod.named_parameters(f"{prefix}{name}.")
+            yield from mod.named_modules(f"{prefix}.{name}" if prefix else name)
+
+    def named_parameters(self) -> Iterator[tuple[str, Parameter]]:
+        for path, mod in self.named_modules():
+            for name, p in mod._params.items():
+                yield (f"{path}.{name}" if path else name), p
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        for name, b in self._buffers.items():
-            yield (f"{prefix}{name}", b)
-        for name, mod in self._modules.items():
-            yield from mod.named_buffers(f"{prefix}{name}.")
+    def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
+        for path, mod in self.named_modules():
+            for name, b in mod._buffers.items():
+                yield (f"{path}.{name}" if path else name), b
 
     def modules(self) -> Iterator["Module"]:
-        yield self
-        for mod in self._modules.values():
-            yield from mod.modules()
+        return (mod for _, mod in self.named_modules())
 
     def train(self, mode: bool = True):
         for mod in self.modules():
@@ -68,9 +71,9 @@ class Module:
     def mode(self) -> str:
         return "train" if self.training else "eval"
 
-    def finalize_names(self, prefix: str = ""):
+    def finalize_names(self):
         """Stamp dotted paths onto parameters once the tree is assembled."""
-        for name, p in self.named_parameters(prefix):
+        for name, p in self.named_parameters():
             p.name = name
         return self
 

@@ -10,7 +10,6 @@ from .tensor import (
 )
 from . import ops
 from .ops import (
-    activation,
     avgpool,
     batchnorm,
     bce_loss,
@@ -30,7 +29,6 @@ from .ops import (
     reshape,
     sigmoid,
     softmax,
-    split,
     sum_,
     transpose,
 )
@@ -40,8 +38,7 @@ __all__ = [
     "Tensor", "Parameter", "Tape", "no_grad", "backward", "active_tape",
     "ShapeError", "GradError", "ops",
     "conv", "maxpool", "avgpool", "global_avgpool", "batchnorm", "layernorm",
-    "activation", "relu", "gelu", "sigmoid", "softmax", "linear", "concat",
-    "split", "mhsa", "dropout", "cross_entropy", "bce_loss",
+    "relu", "gelu", "sigmoid", "softmax", "linear", "concat", "mhsa", "dropout", "cross_entropy", "bce_loss",
     "matmul", "reshape", "transpose", "mean", "sum_",
     "dump_arrays", "load_arrays", "ContainerError",
 ]

@@ -28,7 +28,7 @@ from .tensor import Parameter, ShapeError, Tensor, active_tape, record
 
 __all__ = [
     "add", "sub", "mul", "div", "neg", "matmul", "reshape", "transpose",
-    "concat", "split", "sum_", "mean", "conv", "maxpool", "avgpool",
+    "concat", "sum_", "mean", "conv", "maxpool", "avgpool",
     "global_avgpool", "batchnorm", "layernorm", "relu", "gelu", "sigmoid",
     "softmax", "linear", "mhsa", "dropout", "cross_entropy", "bce_loss",
 ]
@@ -137,28 +137,6 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
                      for p, piece in zip(parts, pieces))
 
     return record(out, tuple(parts), backward_fn)
-
-
-def split(a: Tensor, sizes: Sequence[int], axis: int) -> list[Tensor]:
-    """Slice ``a`` into consecutive chunks along ``axis`` (inverse of concat)."""
-    if sum(sizes) != a.shape[axis]:
-        raise ShapeError(f"split sizes {sizes} do not cover axis extent {a.shape[axis]}")
-    outs = []
-    start = 0
-    for size in sizes:
-        sl = [slice(None)] * a.ndim
-        sl[axis] = slice(start, start + size)
-        sl = tuple(sl)
-        piece = Tensor(a.data[sl].copy())
-
-        def backward_fn(g, sl=sl):
-            full = np.zeros_like(a.data)
-            full[sl] = g
-            return (full,)
-
-        outs.append(record(piece, (a,), backward_fn))
-        start += size
-    return outs
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -606,13 +584,6 @@ def softmax(x: Tensor) -> Tensor:
         return ((g - dot) * y,)
 
     return record(out, (x,), backward_fn)
-
-
-def activation(kind: str, x: Tensor) -> Tensor:
-    table = {"relu": relu, "gelu": gelu, "sigmoid": sigmoid, "softmax": softmax}
-    if kind not in table:
-        raise ValueError(f"unknown activation {kind!r}")
-    return table[kind](x)
 
 
 # --------------------------------------------------------------------------

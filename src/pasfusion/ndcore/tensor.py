@@ -62,9 +62,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.size == 1 else self._item_err()
 

@@ -53,10 +53,6 @@ class SynthSpec:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1, sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SynthSpec":
-        return cls(**data)
-
 
 def _stream(spec: SynthSpec, index: int, field: str) -> np.random.Generator:
     key = np.array([np.uint64(spec.seed),

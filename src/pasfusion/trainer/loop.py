@@ -79,12 +79,6 @@ class TrainConfig:
             cfg.weighted_loss = cfg.model == "us"
         return cfg
 
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        if isinstance(out.get("scheduler"), SchedulerConfig):
-            out["scheduler"] = asdict(out["scheduler"])
-        return out
-
 
 @dataclass
 class RunRecord:
@@ -131,10 +125,9 @@ def _loss(output, labels, cfg: TrainConfig, weights):
                              label_smoothing=cfg.label_smoothing)
 
 
-def _scores(output, model_kind: str) -> np.ndarray:
-    if model_kind == "fusion":
-        return output.probability.data.reshape(-1).astype(np.float64)
-    return output.probability.data[:, 1].astype(np.float64)
+def _scores(output) -> np.ndarray:
+    """Positive-class probability: the last column of (B, 1) or (B, 2)."""
+    return output.probability.data[:, -1].astype(np.float64)
 
 
 def evaluate(model, items: list[Item], cache: PreprocessCache,
@@ -154,7 +147,7 @@ def evaluate(model, items: list[Item], cache: PreprocessCache,
             loss_total += loss.data.item() * len(chunk)
             n_total += len(chunk)
             labels_all.append(batch["labels"])
-            scores_all.append(_scores(out, cfg.model))
+            scores_all.append(_scores(out))
     labels = np.concatenate(labels_all)
     scores = np.concatenate(scores_all)
     accuracy = float(np.mean((scores >= 0.5).astype(int) == labels))
@@ -244,8 +237,7 @@ def train(config: TrainConfig, manifest: SampleManifest,
             best_adam_t = opt.t
 
     assert best_state is not None
-    model.load_state_arrays({k: v for k, v in best_state.items()
-                             if not k.startswith("adam.")})
+    model.load_state_arrays(best_state)
     model.eval()
 
     if test_items:

@@ -84,10 +84,11 @@ def _case_reshape_transpose():
 
 
 def _case_concat_split():
+    # concat's backward splits the gradient at the part boundaries: a nested,
+    # reordered concat that repeats an input checks each piece's destination
     def fwd(a, b):
         joined = ndc.concat([a, b], axis=1)
-        left, right = ndc.split(joined, [3, 2], axis=1)
-        return ndc.concat([right, left], axis=1)
+        return ndc.concat([b, joined, a], axis=1)
     return (lambda r: [r.normal(size=(2, 3)), r.normal(size=(2, 2))], fwd, None)
 
 
@@ -147,10 +148,9 @@ def _case_layernorm():
             lambda x, s, b: ndc.layernorm(x, s, b), None)
 
 
-def _activation_case(kind):
-    return (lambda r: [r.normal(size=(3, 5))],
-            lambda x: ndc.activation(kind, x),
-            _off_relu_kink if kind == "relu" else None)
+def _activation_case(op):
+    return (lambda r: [r.normal(size=(3, 5))], op,
+            _off_relu_kink if op is ndc.relu else None)
 
 
 def _case_linear():
@@ -216,10 +216,10 @@ GRAD_CASES = {
     "batchnorm_train": _batchnorm_case("train"),
     "batchnorm_eval": _batchnorm_case("eval"),
     "layernorm": _case_layernorm(),
-    "relu": _activation_case("relu"),
-    "gelu": _activation_case("gelu"),
-    "sigmoid": _activation_case("sigmoid"),
-    "softmax": _activation_case("softmax"),
+    "relu": _activation_case(ndc.relu),
+    "gelu": _activation_case(ndc.gelu),
+    "sigmoid": _activation_case(ndc.sigmoid),
+    "softmax": _activation_case(ndc.softmax),
     "linear": _case_linear(),
     "mhsa": _case_mhsa(),
     "dropout": _case_dropout(),

@@ -49,7 +49,7 @@ class TestNifti:
         write_nifti(path, Volume(voxels=vox))
         back = read_nifti(path)
         assert back.voxels.tobytes() == vox.tobytes()
-        assert back.extents == (9, 7, 5)
+        assert back.voxels.shape == (9, 7, 5)
 
     def test_header_is_348_bytes(self, tmp_path):
         path = tmp_path / "v.nii"

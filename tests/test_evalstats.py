@@ -164,6 +164,18 @@ class TestPairedT:
             assert abs(res.statistic - ref.statistic) < 1e-10
             assert abs(res.p_value - ref.pvalue) < 1e-10
 
+    def test_matches_scipy_to_1e_12_at_large_dof(self, rng):
+        # dof 10^5 puts x = dof / (dof + t^2) within 3e-6 of 1, where a
+        # rounding of x moves the tail by ~dof/2 ulps
+        n = 100_001
+        b = rng.normal(size=n)
+        d = rng.normal(size=n)
+        d += 0.5 * d.std(ddof=1) / np.sqrt(n) - d.mean()      # t = 0.5
+        res = paired_ttest(b + d, b)
+        ref = scipy.stats.ttest_rel(b + d, b)
+        assert abs(res.statistic - 0.5) < 1e-9
+        assert abs(res.p_value / ref.pvalue - 1.0) < 1e-12
+
     def test_run_pairing_is_five(self):
         res = paired_ttest(np.arange(5) + 0.1 * np.arange(5) ** 2, np.arange(5))
         assert res.dof == (4,)
@@ -200,6 +212,13 @@ class TestAnova:
         res = repeated_measures_anova(x)
         ref_p = scipy.stats.f.sf(res.statistic, *res.dof)
         assert abs(res.p_value - ref_p) < 1e-10
+
+    def test_matches_scipy_to_1e_12_at_large_dof(self, rng):
+        x = rng.normal(size=(100_001, 3)) + rng.normal(size=(100_001, 1))
+        res = repeated_measures_anova(x)
+        assert res.dof == (2, 200_000)
+        ref_p = scipy.stats.f.sf(res.statistic, *res.dof)
+        assert abs(res.p_value / ref_p - 1.0) < 1e-12
 
 
 class TestBhFdr:
