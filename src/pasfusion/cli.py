@@ -477,6 +477,7 @@ def main(argv=None) -> int:
     from .datapipe import ManifestError, NiftiError, PreprocessError, RawFormatError
     from .evalstats import MetricsError, StatsError
     from .gradcam import GradCamError
+    from .ndcore import ContainerError
     from .trainer import DataError, NumericError
 
     try:
@@ -485,7 +486,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ManifestError, NiftiError, RawFormatError, PreprocessError,
-            DataError, FileNotFoundError) as exc:
+            ContainerError, DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, MetricsError, StatsError, FloatingPointError) as exc:

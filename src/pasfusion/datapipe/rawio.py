@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from ..atomic import write_atomic
 from .niftiio import Volume
 
 
@@ -23,10 +24,7 @@ def _write(path, arr: np.ndarray, rank: int) -> None:
     if arr.ndim != rank:
         raise RawFormatError(f"expected rank-{rank} array, got {arr.ndim}")
     header = json.dumps({"extents": list(arr.shape), "dtype": "f32le"})
-    with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(arr.tobytes())
+    write_atomic(path, header.encode("utf-8") + b"\n" + arr.tobytes())
 
 
 def _read(path, rank: int) -> np.ndarray:

@@ -7,6 +7,7 @@ rank (u64 LE), extents (u64 LE each), raw little-endian float32 data.
 from __future__ import annotations
 
 import io
+import math
 import struct
 
 import numpy as np
@@ -49,11 +50,17 @@ def load_arrays(blob: bytes) -> dict[str, np.ndarray]:
 
     while pos < total:
         (name_len,) = struct.unpack("<Q", take(8))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ContainerError(f"array name is not UTF-8 ({exc})") from None
         (rank,) = struct.unpack("<Q", take(8))
         shape = struct.unpack(f"<{rank}Q", take(8 * rank))
-        count = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
-        arrays[name] = data.astype(np.float32)
+        count = math.prod(shape)
+        data = np.frombuffer(take(4 * count), dtype="<f4")
+        try:
+            arrays[name] = data.reshape(shape).astype(np.float32)
+        except ValueError as exc:     # over 64 axes, or an axis numpy cannot index
+            raise ContainerError(f"array {name!r} has extents {shape} ({exc})") from None
     return arrays
 

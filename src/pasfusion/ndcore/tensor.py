@@ -62,12 +62,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.size == 1 else self._item_err()
-
-    def _item_err(self):
-        raise ShapeError(f"item() requires a single element, got shape {self.shape}")
-
     def zero_grad(self):
         self.grad = None
 
@@ -75,12 +69,11 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
 
-    # -- operators (implemented in ops.py, bound at import time) -----------
-    def backward(self):
-        backward(self)
-
+    # -- operators are implemented in ops.py and bound at its end ----------
     def __len__(self):
-        return self.shape[0] if self.ndim else self._item_err()
+        if not self.ndim:
+            raise ShapeError("len() of a rank-0 tensor")
+        return self.shape[0]
 
 
 class Parameter(Tensor):
@@ -108,9 +101,8 @@ class _Node:
 class Tape:
     """Ordered record of executed differentiable ops.
 
-    Confined to one execution context.  Usable as a context manager to scope
-    recording; a default tape is installed at import so top-level code works
-    without ceremony.
+    Confined to one execution context.  Ops record only inside ``with Tape()``;
+    outside any tape, as under ``no_grad``, nothing is recorded or retained.
     """
 
     def __init__(self):
@@ -134,7 +126,7 @@ class Tape:
         return False
 
 
-_TAPE_STACK: list[Optional[Tape]] = [Tape()]
+_TAPE_STACK: list[Optional[Tape]] = [None]
 
 
 def active_tape() -> Optional[Tape]:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import write_atomic
 from ..datapipe import Pairing, Sample, SampleManifest, write_rimg, write_rvol
 from ..models.profiles import ScaleProfile, get_profile
 
@@ -175,6 +176,6 @@ def generate_dataset(spec: SynthSpec, out_dir) -> SampleManifest:
 
     manifest = SampleManifest(samples=samples, pairing=pairing).validate()
     manifest.save(out / "manifest.json")
-    (out / "spec.json").write_text(spec.to_json())
-    (out / "signals.json").write_text(json.dumps(flag_index, indent=1, sort_keys=True))
+    write_atomic(out / "spec.json", spec.to_json())
+    write_atomic(out / "signals.json", json.dumps(flag_index, indent=1, sort_keys=True))
     return manifest

@@ -9,7 +9,7 @@ import numpy as np
 
 from .. import __version__
 from ..atomic import write_atomic
-from ..ndcore import dump_arrays, load_arrays
+from ..ndcore import ContainerError, dump_arrays, load_arrays
 
 
 def snapshot_state(model, optimizer=None) -> dict[str, np.ndarray]:
@@ -33,5 +33,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
     state = load_arrays(path.read_bytes())
     sidecar_path = Path(str(path) + ".json")
-    sidecar = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
+    try:
+        sidecar = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
+    except ValueError as exc:     # also the decode errors of a non-UTF-8 file
+        raise ContainerError(f"{sidecar_path}: bad sidecar ({exc})") from None
+    if not isinstance(sidecar, dict):
+        raise ContainerError(f"{sidecar_path}: sidecar is not a JSON object")
     return state, sidecar

@@ -5,10 +5,13 @@ acceptance gate; each case builds float64 tensors over the arrays the
 central-difference oracle perturbs (h = 1e-5) and compares backward()
 against the numeric gradients at rtol 1e-4.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pasfusion import ndcore as ndc
+from pasfusion.models import MICRO, build_model
 
 from gradcheck import GRAD_CASES, assert_grads_match
 
@@ -63,6 +66,32 @@ def test_backward_requires_recording():
         out = ndc.sum_(a * 2.0)
         with pytest.raises(ndc.GradError):
             ndc.backward(out)
+
+
+def test_nothing_records_outside_a_tape():
+    """Outside ``with Tape()`` a forward records no node and keeps no
+    backward state, as under ``no_grad``."""
+    model = build_model("mri", MICRO, seed=0).eval()
+    x = ndc.Tensor(np.random.default_rng(0).random((2, 1) + MICRO.mri_input,
+                                                   dtype=np.float32))
+    assert ndc.active_tape() is None
+    out = model(x)
+    assert ndc.active_tape() is None
+    assert not out.logits.requires_grad and not out.probability.requires_grad
+
+    rng = np.random.default_rng(810)
+    x = ndc.Tensor(rng.normal(size=(1, 8, 16, 16, 8)).astype(np.float32),
+                   requires_grad=True)
+    w = ndc.Parameter(rng.normal(size=(4, 8, 3, 3, 3)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = ndc.conv(x, w, None, stride=1, padding=1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert not y.requires_grad
+    assert retained < 2 * y.data.nbytes      # the output, but no columns
 
 
 def test_relu_gradient_signs():

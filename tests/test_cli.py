@@ -176,6 +176,46 @@ class TestExitCodes:
         code = main(["preprocess", "--config", str(cfg), "--out", str(tmp_path / "pp")])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("offset, fmt, values", [
+        (108, "<f", (float("nan"),)), (108, "<f", (float("inf"),)),
+        (40, "<6h", (5,) + (32767,) * 5)])
+    def test_bad_nifti_header_is_data_error(self, tmp_path, offset, fmt, values):
+        import struct
+
+        from pasfusion.datapipe import Sample, SampleManifest, Volume, write_nifti
+
+        scan = tmp_path / "scan.nii"
+        write_nifti(scan, Volume(voxels=np.zeros((4, 4, 4), np.float32)))
+        blob = bytearray(scan.read_bytes())
+        struct.pack_into(fmt, blob, offset, *values)
+        scan.write_bytes(bytes(blob))
+        SampleManifest(samples=[Sample("p1", "mri", 0, str(scan), "train")]).save(
+            tmp_path / "manifest.json")
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"manifest": str(tmp_path / "manifest.json"),
+                                   "profile": "micro"}))
+        code = main(["preprocess", "--config", str(cfg), "--out", str(tmp_path / "pp")])
+        assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("fault", ["magic", "sidecar"])
+    def test_bad_checkpoint_is_data_error(self, dataset_dir, tmp_path, fault):
+        from pasfusion.models import build_model
+        from pasfusion.trainer import save_checkpoint, snapshot_state
+
+        ckpt = tmp_path / "us.ckpt"
+        save_checkpoint(ckpt, snapshot_state(build_model("us", "micro", seed=0)),
+                        {"model": "us", "profile": "micro", "seed": 0})
+        if fault == "magic":
+            ckpt.write_bytes(b"NDC0" + ckpt.read_bytes()[4:])
+        else:
+            (tmp_path / "us.ckpt.json").write_text("{not json")
+        cfg = tmp_path / "e.json"
+        cfg.write_text(json.dumps({
+            "checkpoint": str(ckpt),
+            "manifest": str(dataset_dir / "data" / "manifest.json"), "split": "test"}))
+        code = main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")])
+        assert code == EXIT_DATA
+
 
 class TestArtifacts:
     def test_synth_writes_manifest_and_run_record(self, dataset_dir):

@@ -1,5 +1,6 @@
 """Format round-trips, preprocessing oracles, splits and balancing."""
 import json
+import math
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from pasfusion.datapipe import (
     ManifestError,
+    NiftiError,
     NotNiftiError,
     Pairing,
     PreprocessError,
@@ -124,6 +126,60 @@ class TestNifti:
         path.write_bytes(bytes(header) + b"\x00" * 4 + vox.tobytes(order="F"))
         back = read_nifti(path)
         np.testing.assert_array_equal(back.voxels, vox.astype(np.float32))
+
+
+def _nifti_blob(endian, dim, datatype, vox_offset, slope, magic, body):
+    """A 352-byte NIfTI-1 header with the given field values, then ``body``."""
+    header = bytearray(352)
+    struct.pack_into(endian + "i", header, 0, 348)
+    struct.pack_into(endian + "8h", header, 40, *dim)
+    struct.pack_into(endian + "h", header, 70, datatype)
+    struct.pack_into(endian + "3f", header, 108, vox_offset, slope, 1.0)
+    header[344:348] = magic
+    return bytes(header) + body
+
+
+def _extents(values):
+    return st.tuples(*[values] * 7)
+
+
+class TestNiftiFaults:
+    @pytest.mark.parametrize("offset, fmt, values", [
+        (108, "<f", (math.nan,)), (108, "<f", (math.inf,)), (108, "<f", (-math.inf,)),
+        (40, "<6h", (5,) + (32767,) * 5), (40, "<8h", (7,) + (32767,) * 7)])
+    def test_bad_header_field_is_nifti_error(self, tmp_path, offset, fmt, values):
+        path = tmp_path / "v.nii"
+        write_nifti(path, Volume(voxels=np.zeros((2, 2, 2), np.float32)))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(fmt, blob, offset, *values)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(NiftiError):
+            read_nifti(path)
+
+    @given(blob=st.one_of(
+        st.binary(max_size=800),
+        st.builds(
+            _nifti_blob,
+            endian=st.sampled_from("<>"),
+            dim=st.builds(lambda rank, extents: (rank,) + extents, st.integers(0, 8),
+                          _extents(st.integers(1, 3)) | _extents(st.sampled_from([1, 32767]))
+                          | _extents(st.integers(-2 ** 15, 2 ** 15 - 1))),
+            datatype=st.sampled_from([2, 4, 16, 64, 0, 128, -1]),
+            vox_offset=st.sampled_from([352.0, 360.0]) | st.floats(width=32),
+            slope=st.sampled_from([0.0, 2.0]) | st.floats(width=32),
+            magic=st.sampled_from([b"n+1\x00"] * 3 + [b"ni1\x00", b"n+2\x00"]),
+            body=st.binary(max_size=600))))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_file_is_read_or_nifti_error(self, tmp_path, blob):
+        path = tmp_path / "fuzz.nii"
+        path.write_bytes(blob)
+        try:
+            volume = read_nifti(path)
+        except NiftiError:
+            return
+        assert volume.voxels.dtype == np.float32
+        assert 1 <= volume.voxels.ndim <= 7
 
 
 class TestRawFormats:

@@ -1,8 +1,11 @@
 """Forward-value checks for the tensor core against direct oracles."""
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pasfusion import ndcore as ndc
 from pasfusion.ndcore import ShapeError
@@ -363,6 +366,17 @@ class TestLosses:
             ndc.bce_loss(_t([0.5]), [0.25])
 
 
+def _ndc1_block(name, extents, body=None, name_len=None, rank=None):
+    """One NDC1 array block; ``None`` fields take their consistent values and
+    a ``None`` body is the zero payload that the extents call for (if small)."""
+    count = math.prod(extents)
+    if body is None:
+        body = bytes(4 * count) if count <= 1024 else b""
+    return (struct.pack("<Q", len(name) if name_len is None else name_len) + name
+            + struct.pack("<Q", len(extents) if rank is None else rank)
+            + struct.pack(f"<{len(extents)}Q", *extents) + body)
+
+
 class TestSerialization:
     def test_round_trip_is_bitwise(self, rng):
         arrays = {
@@ -385,3 +399,34 @@ class TestSerialization:
     def test_bad_magic(self):
         with pytest.raises(ndc.ContainerError):
             ndc.load_arrays(b"XXXX" + b"\x00" * 16)
+
+    @pytest.mark.parametrize("block", [
+        _ndc1_block(b"\xff\xfe", [1], bytes(4)),
+        _ndc1_block(b"w", [2 ** 32, 2 ** 32], bytes(64)),
+        _ndc1_block(b"w", [1] * 65, bytes(4)),
+        _ndc1_block(b"w", [0, 2 ** 63], b"")],
+        ids=["name_not_utf8", "count_wraps_in_int64", "65_axes", "axis_past_intp"])
+    def test_malformed_block_is_container_error(self, block):
+        with pytest.raises(ndc.ContainerError):
+            ndc.load_arrays(b"NDC1" + block)
+
+    @given(blob=st.one_of(
+        st.binary(max_size=300),
+        st.builds(lambda magic, blocks: magic + b"".join(blocks),
+                  st.sampled_from([b"NDC1"] * 3 + [b"NDC2"]),
+                  st.lists(st.builds(
+                      _ndc1_block,
+                      name=st.text(max_size=6).map(str.encode) | st.binary(max_size=6),
+                      extents=st.lists(st.integers(0, 3), max_size=5)
+                      | st.lists(st.integers(0, 2 ** 64 - 1), max_size=3)
+                      | st.lists(st.sampled_from([1, 1, 0]), min_size=60, max_size=70),
+                      body=st.none() | st.binary(max_size=64),
+                      name_len=st.none() | st.integers(0, 2 ** 64 - 1),
+                      rank=st.none() | st.integers(0, 2 ** 64 - 1)), max_size=3))))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_container_is_loaded_or_container_error(self, blob):
+        try:
+            arrays = ndc.load_arrays(blob)
+        except ndc.ContainerError:
+            return
+        assert all(a.dtype == np.float32 for a in arrays.values())

@@ -287,6 +287,14 @@ class TestCheckpointFiles:
         for k in state:
             assert back[k].tobytes() == state[k].astype(np.float32).tobytes()
 
+    @pytest.mark.parametrize("sidecar", [b"{not json", b"\xff\xfe", b"[1, 2]"])
+    def test_bad_sidecar_is_container_error(self, tmp_path, sidecar):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"w": np.ones(2, np.float32)}, sidecar={"model": "us"})
+        (tmp_path / "m.ckpt.json").write_bytes(sidecar)
+        with pytest.raises(ndc.ContainerError):
+            load_checkpoint(path)
+
     def test_warm_start_changes_after_training(self, tiny_dataset, tmp_path):
         # fusion branches must drift from the warm-start values (unfrozen)
         mri_cfg = TrainConfig(model="mri", profile="micro", epochs=1, seed=1)
