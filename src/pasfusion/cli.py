@@ -4,13 +4,16 @@ Heavy modules are imported inside ``main`` so ``--deterministic`` can pin the
 BLAS/OMP thread environment before numpy loads; that makes repeated runs
 bitwise identical regardless of threaded GEMM scheduling.
 
-Exit codes: 0 success, 2 configuration/usage, 3 data, 4 numeric failure.
+Exit codes: 0 success, 1 a worker process died, 2 configuration/usage,
+3 data, 4 numeric failure. ``--verbose`` sends the ``pasfusion`` logger's
+INFO lines to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import logging
 import os
 import sys
 from dataclasses import dataclass, field
@@ -19,6 +22,7 @@ from pathlib import Path
 from .atomic import write_atomic
 
 EXIT_OK = 0
+EXIT_WORKER = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -80,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="pin threading for bitwise-reproducible runs")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        dest="overrides", help="dotted-key config override (repeatable)")
-        p.add_argument("--verbose", action="store_true")
+        p.add_argument("--verbose", action="store_true",
+                       help="log progress to stderr")
     return parser
 
 
@@ -338,14 +343,20 @@ def _cmd_compare(cli: CliConfig) -> int:
 
 def _load_model_from_checkpoint(path, profile_override=None):
     from .models import build_model
+    from .models.profiles import get_profile
+    from .ndcore import ContainerError
     from .trainer import load_checkpoint
 
     state, sidecar = load_checkpoint(path)
     kind = sidecar.get("model")
-    profile = profile_override or sidecar.get("profile", "micro")
     if kind not in ("mri", "us", "fusion"):
         raise ConfigError(f"checkpoint sidecar lacks a valid model kind: {kind!r}")
-    model = build_model(kind, profile, seed=int(sidecar.get("seed", 0)))
+    try:
+        profile = get_profile(profile_override or sidecar.get("profile", "micro"))
+        seed = int(sidecar.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ContainerError(f"{path}: bad checkpoint sidecar: {exc}") from None
+    model = build_model(kind, profile, seed=seed)
     model.load_state_arrays(state)
     model.eval()
     return model, kind, sidecar
@@ -478,10 +489,18 @@ def main(argv=None) -> int:
     from .evalstats import MetricsError, StatsError
     from .gradcam import GradCamError
     from .ndcore import ContainerError
-    from .trainer import DataError, NumericError
+    from .trainer import DataError, NumericError, WorkerError
 
+    log = logging.getLogger("pasfusion")
+    level, handler = log.level, logging.StreamHandler(sys.stderr)
+    if cli.verbose:
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
     try:
         return _COMMANDS[cli.command](cli)
+    except WorkerError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     except (ConfigError, GradCamError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -492,6 +511,9 @@ def main(argv=None) -> int:
     except (NumericError, MetricsError, StatsError, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

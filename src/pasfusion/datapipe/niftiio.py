@@ -104,6 +104,9 @@ def write_nifti(path, volume: Volume) -> None:
     ndim = vox.ndim
     if not 1 <= ndim <= 7:
         raise NiftiError(f"cannot store rank-{ndim} volume")
+    if max(vox.shape) > 32767:
+        raise NiftiError(f"cannot store extent {max(vox.shape)}: NIfTI-1 dim "
+                         "entries are int16, at most 32767")
     header = bytearray(MIN_VOX_OFFSET)
     struct.pack_into("<i", header, 0, HEADER_SIZE)
     header[38:39] = b"r"

@@ -17,6 +17,7 @@ from .loop import (
     NumericError,
     RunRecord,
     TrainConfig,
+    WorkerError,
     best_epoch_index,
     comparative_protocol,
     evaluate,
@@ -30,7 +31,7 @@ __all__ = [
     "Adam", "adam_update", "PlateauScheduler", "SchedulerConfig",
     "TrainConfig", "RunRecord", "train", "evaluate", "multi_run",
     "comparative_protocol", "summarize_runs", "best_epoch_index",
-    "NumericError", "DataError", "MODEL_KINDS",
+    "NumericError", "DataError", "WorkerError", "MODEL_KINDS",
     "PreprocessCache", "Item", "assemble_batch", "build_training_items",
     "epoch_batches", "items_for", "items_from_pairs", "items_from_samples",
     "load_raw_volume", "load_raw_image",

@@ -3,8 +3,11 @@ best-validation-accuracy checkpointing, multi-run repetition and the
 three-model comparative protocol on a shared paired test set."""
 from __future__ import annotations
 
+import logging
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -30,9 +33,15 @@ from .optim import Adam, PlateauScheduler, SchedulerConfig
 
 MODEL_KINDS = ("mri", "us", "fusion")
 
+log = logging.getLogger("pasfusion")
+
 
 class NumericError(RuntimeError):
     """Training produced a non-finite loss."""
+
+
+class WorkerError(RuntimeError):
+    """A worker process died (e.g. killed for memory) before its runs ended."""
 
 
 @dataclass
@@ -272,6 +281,74 @@ def summarize_runs(metric_dicts: list[dict]) -> dict:
     return summary
 
 
+def _workers(n_runs: int, profile: str) -> int:
+    """Worker processes for ``n_runs`` independent runs; 1 means in-process.
+
+    Runs fork only while this process has a single thread, CPython's own
+    fork-safety test: OpenBLAS starts its pool when numpy is imported, so
+    this holds when BLAS was pinned to one thread before that (as under
+    ``--deterministic``), and a fork then copies no thread pool. One paper
+    run alone peaks at ~4 GB, so paper runs stay in-process.
+    """
+    task_dir = "/proc/self/task"
+    if (n_runs < 2 or profile == "paper" or not os.path.isdir(task_dir)
+            or len(os.listdir(task_dir)) != 1):
+        return 1
+    return min(n_runs, len(os.sched_getaffinity(0)))
+
+
+def _logged(records: list[RunRecord]) -> list[RunRecord]:
+    for r in records:
+        log.info("%s seed %d: best epoch %d, best val accuracy %.4f",
+                 r.model, r.seed, r.best_epoch, r.best_val_accuracy)
+    return records
+
+
+def _gather(run_seed, seeds: list[int], profile: str) -> list[list[RunRecord]]:
+    """``[run_seed(s) for s in seeds]``, in seed order, where ``run_seed``
+    returns one seed's records. Seeds fan out over forked worker processes
+    when ``_workers`` allows. The first failure is re-raised here, and the
+    seeds not yet started never start."""
+    workers = _workers(len(seeds), profile)
+    log.info("dispatch: %d runs, %d workers, nproc %d", len(seeds), workers,
+             len(os.sched_getaffinity(0)))
+    if workers == 1:
+        return [_logged(run_seed(s)) for s in seeds]
+    # imported here, so a process that never fans out loads no multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
+    results: list = [None] * len(seeds)
+    todo, running = list(enumerate(seeds)), {}
+    with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+        try:
+            # one run in flight per worker: the executor itself would queue
+            # more, and a queued run cannot be cancelled after a failure
+            while todo or running:
+                while todo and len(running) < workers:
+                    i, seed = todo.pop(0)
+                    running[pool.submit(run_seed, seed)] = i
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    results[running.pop(fut)] = _logged(fut.result())
+        except BrokenProcessPool:
+            lost = [s for s, r in zip(seeds, results) if r is None]
+            raise WorkerError(f"a worker process died; seeds {lost} did not "
+                              "finish") from None
+    return results
+
+
+def _multi_run_seed(seed: int, config: TrainConfig, manifest: SampleManifest,
+                    out_dir: Optional[str],
+                    cache: PreprocessCache) -> list[RunRecord]:
+    record, _model = train(replace(config, seed=seed), manifest,
+                           out_dir=out_dir, cache=cache)
+    if record.test_metrics is None:
+        raise DataError("multi_run needs a manifest with a test split")
+    return [record]
+
+
 def multi_run(config: TrainConfig, manifest: SampleManifest, n_runs: int = 5,
               out_dir: Optional[str] = None,
               cache: Optional[PreprocessCache] = None) -> dict:
@@ -279,16 +356,32 @@ def multi_run(config: TrainConfig, manifest: SampleManifest, n_runs: int = 5,
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     cache = cache or PreprocessCache(get_profile(config.profile))
-    records, metrics = [], []
-    for i in range(n_runs):
-        cfg = replace(config, seed=config.seed + i)
-        record, _model = train(cfg, manifest, out_dir=out_dir, cache=cache)
-        if record.test_metrics is None:
-            raise DataError("multi_run needs a manifest with a test split")
-        records.append(record)
-        metrics.append(record.test_metrics)
+    run_seed = partial(_multi_run_seed, config=config, manifest=manifest,
+                       out_dir=out_dir, cache=cache)
+    seeds = [config.seed + i for i in range(n_runs)]
+    records = [rs[0] for rs in _gather(run_seed, seeds, config.profile)]
+    metrics = [r.test_metrics for r in records]
     return {"records": records, "metrics": metrics,
             "summary": summarize_runs(metrics)}
+
+
+def _compare_seed(seed: int, manifests: dict, test_items: dict, profile: str,
+                  epochs: dict, batch_size: int, out_dir: Optional[str],
+                  cache: PreprocessCache) -> list[RunRecord]:
+    """One comparative run: MRI, US, then fusion warm-started from this
+    run's MRI and US weights. -> their records, in ``MODEL_KINDS`` order."""
+    states, records = {}, []
+    for kind in MODEL_KINDS:
+        cfg = TrainConfig(model=kind, profile=profile, seed=seed,
+                          batch_size=batch_size, epochs=epochs.get(kind, 10))
+        warm = (states["mri"], states["us"]) if kind == "fusion" else None
+        record, model = train(cfg, manifests[kind], out_dir=out_dir,
+                              cache=cache, warm_states=warm,
+                              test_items=test_items[kind])
+        if kind != "fusion":
+            states[kind] = snapshot_state(model)
+        records.append(record)
+    return records
 
 
 def comparative_protocol(mri_manifest: SampleManifest, us_manifest: SampleManifest,
@@ -301,31 +394,22 @@ def comparative_protocol(mri_manifest: SampleManifest, us_manifest: SampleManife
     identical paired test split.  Repeated ``n_runs`` times with shifted seeds."""
     from ..evalstats import compare_models
 
-    epochs = epochs or {}
-    cache = PreprocessCache(get_profile(profile))
     test_pairs = items_from_pairs(paired_manifest, "test")
     if not test_pairs:
         raise DataError("paired manifest has no test pairs")
-    manifests = {"mri": mri_manifest, "us": us_manifest, "fusion": paired_manifest}
-    test_items = {"mri": [replace(it, us_uri=None) for it in test_pairs],
-                  "us": [replace(it, mri_uri=None) for it in test_pairs],
-                  "fusion": test_pairs}
+    run_seed = partial(
+        _compare_seed,
+        manifests={"mri": mri_manifest, "us": us_manifest,
+                   "fusion": paired_manifest},
+        test_items={"mri": [replace(it, us_uri=None) for it in test_pairs],
+                    "us": [replace(it, mri_uri=None) for it in test_pairs],
+                    "fusion": test_pairs},
+        profile=profile, epochs=epochs or {}, batch_size=batch_size,
+        out_dir=out_dir, cache=PreprocessCache(get_profile(profile)))
+    runs = _gather(run_seed, [base_seed + i for i in range(n_runs)], profile)
 
-    records_by_model: dict[str, list[RunRecord]] = {"fusion": [], "mri": [], "us": []}
-    for i in range(n_runs):
-        seed = base_seed + i
-        states = {}
-        for kind in MODEL_KINDS:
-            cfg = TrainConfig(model=kind, profile=profile, seed=seed,
-                              batch_size=batch_size, epochs=epochs.get(kind, 10))
-            warm = (states["mri"], states["us"]) if kind == "fusion" else None
-            record, model = train(cfg, manifests[kind], out_dir=out_dir,
-                                  cache=cache, warm_states=warm,
-                                  test_items=test_items[kind])
-            if kind != "fusion":
-                states[kind] = snapshot_state(model)
-            records_by_model[kind].append(record)
-
+    records_by_model = {kind: [r for run in runs for r in run if r.model == kind]
+                        for kind in ("fusion", "mri", "us")}
     metrics_by_model = {m: [r.test_metrics for r in rs]
                         for m, rs in records_by_model.items()}
     return {

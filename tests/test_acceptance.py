@@ -346,7 +346,7 @@ def test_criterion_6_protocol_invariants():
 # 7. determinism of the compare pipeline, end to end through the CLI
 # -------------------------------------------------------------------------
 
-def _run_cli(args, cwd):
+def _run_cli(args, cwd, entry=("-m", "pasfusion.cli")):
     # Put the directory holding the imported package first on PYTHONPATH:
     # a relative entry (e.g. PYTHONPATH=src) resolves to nothing from `cwd`,
     # so the CLI subprocess would not find the tree under test.
@@ -354,14 +354,13 @@ def _run_cli(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src_root, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "pasfusion.cli"] + args,
+    return subprocess.run([sys.executable, *entry] + args,
                           capture_output=True, text=True, cwd=cwd, env=env,
                           timeout=600)
 
 
-@pytest.mark.slow
-def test_criterion_7_compare_determinism(tmp_path):
-    start = time.time()
+def _compare_config(tmp_path, n_runs: int) -> Path:
+    """Synthesize the paired and unimodal sets; -> a compare config path."""
     paired_cfg = tmp_path / "paired.json"
     paired_cfg.write_text(json.dumps({
         "n_pairs": 48, "positive_fraction": 0.375, "profile": "micro",
@@ -387,8 +386,26 @@ def test_criterion_7_compare_determinism(tmp_path):
         "manifests": {"mri": str(tmp_path / "uni" / "mri.json"),
                       "us": str(tmp_path / "uni" / "us.json"),
                       "paired": str(tmp_path / "paired" / "manifest.json")},
-        "profile": "micro", "n_runs": 1, "base_seed": 3, "batch_size": 8,
+        "profile": "micro", "n_runs": n_runs, "base_seed": 3, "batch_size": 8,
         "epochs": {"mri": 2, "us": 2, "fusion": 2}}))
+    return compare_cfg
+
+
+def _artifact_diff(outs: list[Path]) -> tuple[list[Path], list[str]]:
+    """-> (the files of the first run, those whose bytes differ)."""
+    files_a = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*")
+                     if p.is_file())
+    files_b = sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*")
+                     if p.is_file())
+    assert files_a == files_b and files_a
+    return files_a, [str(rel) for rel in files_a
+                     if (outs[0] / rel).read_bytes() != (outs[1] / rel).read_bytes()]
+
+
+@pytest.mark.slow
+def test_criterion_7_compare_determinism(tmp_path):
+    start = time.time()
+    compare_cfg = _compare_config(tmp_path, n_runs=1)
 
     outs = []
     for label in ("a", "b"):
@@ -398,18 +415,35 @@ def test_criterion_7_compare_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(out)
 
-    files_a = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*")
-                     if p.is_file())
-    files_b = sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*")
-                     if p.is_file())
-    assert files_a == files_b and files_a
-    mismatched = [str(rel) for rel in files_a
-                  if (outs[0] / rel).read_bytes() != (outs[1] / rel).read_bytes()]
+    files_a, mismatched = _artifact_diff(outs)
     elapsed = time.time() - start
     _report(7, not mismatched,
             f"{len(files_a)} artifacts bitwise identical across two "
             f"--deterministic compare runs, {elapsed:.1f}s"
             + (f"; mismatched: {mismatched}" if mismatched else ""))
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs")
+def test_compare_determinism_across_worker_counts(tmp_path):
+    """Two runs forked into two workers write the same bytes as one worker."""
+    compare_cfg = _compare_config(tmp_path, n_runs=2)
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    outs = []
+    for n in (1, 2):
+        out = tmp_path / f"cpus{n}"
+        # restrict the child's own affinity before it starts the compare
+        child = ("import os, sys; os.sched_setaffinity(0, {cpus}); "
+                 "from pasfusion.cli import main; sys.exit(main({argv}))").format(
+            cpus=set(cpus[:n]), argv=["compare", "--config", str(compare_cfg),
+                                      "--out", str(out), "--deterministic",
+                                      "--verbose"])
+        proc = _run_cli([], tmp_path, entry=("-c", child))
+        assert proc.returncode == 0, proc.stderr
+        assert f"dispatch: 2 runs, {n} workers, nproc {n}" in proc.stderr
+        outs.append(out)
+    assert _artifact_diff(outs)[1] == []
 
 
 # -------------------------------------------------------------------------

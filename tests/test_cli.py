@@ -1,19 +1,25 @@
 """CLI parsing, override semantics, exit codes and artifact emission."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pasfusion
 from pasfusion.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_NUMERIC,
     EXIT_OK,
+    EXIT_WORKER,
     ConfigError,
     main,
     parse_args,
 )
+from pasfusion.trainer import loop
 
 
 @pytest.fixture(scope="module")
@@ -197,17 +203,20 @@ class TestExitCodes:
         code = main(["preprocess", "--config", str(cfg), "--out", str(tmp_path / "pp")])
         assert code == EXIT_DATA
 
-    @pytest.mark.parametrize("fault", ["magic", "sidecar"])
+    @pytest.mark.parametrize("fault", ["magic", "sidecar", "seed", "profile"])
     def test_bad_checkpoint_is_data_error(self, dataset_dir, tmp_path, fault):
         from pasfusion.models import build_model
         from pasfusion.trainer import save_checkpoint, snapshot_state
 
         ckpt = tmp_path / "us.ckpt"
+        sidecar = {"model": "us", "profile": "micro", "seed": 0}
+        if fault in ("seed", "profile"):
+            sidecar[fault] = {"seed": "x", "profile": "nope"}[fault]
         save_checkpoint(ckpt, snapshot_state(build_model("us", "micro", seed=0)),
-                        {"model": "us", "profile": "micro", "seed": 0})
+                        sidecar)
         if fault == "magic":
             ckpt.write_bytes(b"NDC0" + ckpt.read_bytes()[4:])
-        else:
+        elif fault == "sidecar":
             (tmp_path / "us.ckpt.json").write_text("{not json")
         cfg = tmp_path / "e.json"
         cfg.write_text(json.dumps({
@@ -317,3 +326,93 @@ class TestArtifacts:
         assert report["correction"].startswith("benjamini")
         assert set(report["metrics"]) == {"accuracy", "auc", "precision",
                                           "recall", "f1"}
+
+
+def _fake_train(cfg, manifest, **kwargs):
+    record = loop.RunRecord(cfg.model, cfg.seed, best_epoch=0,
+                            best_val_accuracy=1.0)
+    record.test_metrics = {"accuracy": 1.0}
+    return record, None
+
+
+def _multirun_config(dataset_dir, tmp_path, n_runs):
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({
+        "trainer": {"model": "us", "profile": "micro", "epochs": 1, "seed": 0},
+        "manifest": str(dataset_dir / "data" / "manifest.json"),
+        "n_runs": n_runs}))
+    return cfg
+
+
+class TestVerbose:
+    def test_verbose_logs_dispatch_and_each_seed(self, dataset_dir, tmp_path,
+                                                 capsys, monkeypatch):
+        monkeypatch.setattr(loop, "train", _fake_train)
+        cfg = _multirun_config(dataset_dir, tmp_path, 2)
+        assert main(["multirun", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert main(["multirun", "--config", str(cfg), "--out",
+                     str(tmp_path), "--verbose"]) == EXIT_OK
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("dispatch: 2 runs, ")
+        assert lines[1:] == [f"us seed {s}: best epoch 0, best val accuracy 1.0000"
+                             for s in (0, 1)]
+
+
+# Run in a child on two CPUs whose BLAS is pinned to one thread before numpy
+# loads, so the seeds fork into two workers; fork carries the patched
+# ``loop.train`` along. Seed 1 fails at once; the other seeds take a second.
+_FAULTY_MULTIRUN = """
+import os, sys, time
+from pathlib import Path
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+from pasfusion.cli import main
+from pasfusion.trainer import loop
+from test_cli import _fake_train
+
+fault, started = sys.argv[1], Path(sys.argv[2])
+
+def train(cfg, manifest, **kwargs):
+    (started / str(cfg.seed)).touch()
+    if cfg.seed == 1:
+        if fault == "exit":
+            os._exit(9)
+        raise {"data": loop.DataError, "numeric": loop.NumericError}[fault]("planted")
+    time.sleep(1)
+    return _fake_train(cfg, manifest)
+
+loop.train = train
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs to fork two workers")
+class TestWorkerFailures:
+    @pytest.mark.parametrize("fault, code, message", [
+        ("data", EXIT_DATA, "data error: planted"),
+        ("numeric", EXIT_NUMERIC, "numeric error: planted"),
+        ("exit", EXIT_WORKER, "worker error: a worker process died; "
+                              "seeds [0, 1, 2, 3, 4, 5] did not finish"),
+    ])
+    def test_worker_failure_keeps_exit_code(self, dataset_dir, tmp_path,
+                                            fault, code, message):
+        cfg = _multirun_config(dataset_dir, tmp_path, 6)
+        started = tmp_path / "started"
+        started.mkdir()
+        path = [str(Path(pasfusion.__file__).resolve().parents[1]),
+                str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _FAULTY_MULTIRUN, fault, str(started),
+             "multirun", "--config", str(cfg), "--out", str(tmp_path / "o"),
+             "--verbose"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        # the dispatch log line, then the failure as one line, no traceback
+        assert proc.stderr.splitlines() == ["dispatch: 6 runs, 2 workers, nproc 2",
+                                            message]
+        # seeds after the failure never started
+        assert sorted(p.name for p in started.iterdir()) == ["0", "1"]

@@ -101,6 +101,12 @@ class TestNifti:
         with pytest.raises(TruncatedNiftiError):
             read_nifti(path)
 
+    def test_extent_beyond_int16_dim_rejected(self, tmp_path):
+        path = tmp_path / "v.nii"
+        with pytest.raises(NiftiError, match="int16"):
+            write_nifti(path, Volume(voxels=np.zeros((40000,), np.float32)))
+        assert not path.exists()
+
     def test_scl_slope_applied(self, tmp_path, rng):
         path = tmp_path / "v.nii"
         vox = rng.random((3, 3, 3)).astype(np.float32)
