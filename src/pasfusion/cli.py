@@ -27,10 +27,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-SUBCOMMANDS = ("synth", "preprocess", "train", "multirun", "compare",
-               "eval", "explain", "stats")
-
-
 class ConfigError(ValueError):
     pass
 
@@ -63,18 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pasfusion",
         description="Multimodal MRI+US classification pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "synth": "generate a synthetic paired dataset and manifest",
-        "preprocess": "preprocess every sample of a manifest to model grids",
-        "train": "train one model per the training config",
-        "multirun": "repeat training over n seeds and aggregate",
-        "compare": "three-model comparative protocol on a shared paired test set",
-        "eval": "evaluate a checkpoint on a manifest split",
-        "explain": "emit Grad-CAM overlays for chosen samples",
-        "stats": "statistical comparison report from per-run metrics",
-    }
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", action=_Once, help="JSON config file")
         p.add_argument("--out", action=_Once, required=True, help="output directory")
         p.add_argument("--seed", action=_Once, type=int, help="override the config seed")
@@ -165,9 +151,19 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _number(value, name: str, minimum=None, kinds=(int,)):
+    """``value`` if it is a JSON number of one of ``kinds`` and at least
+    ``minimum``; any other value (a bool too) is a ConfigError."""
+    if type(value) not in kinds or (minimum is not None and value < minimum):
+        raise ConfigError(f"config key {name!r} must be {'/'.join(k.__name__ for k in kinds)}"
+                          f"{'' if minimum is None else f' >= {minimum}'}, got {value!r}")
+    return value
+
+
 # -- command implementations ---------------------------------------------------
 
 def _cmd_synth(cli: CliConfig) -> int:
+    """generate a synthetic paired dataset and manifest"""
     from .datapipe import stratified_split
     from .synthgen import SynthSpec, generate_dataset
 
@@ -192,6 +188,7 @@ def _cmd_synth(cli: CliConfig) -> int:
 
 
 def _cmd_preprocess(cli: CliConfig) -> int:
+    """preprocess every sample of a manifest to model grids"""
     import numpy as np
 
     from .datapipe import SampleManifest, write_rimg, write_rvol
@@ -227,17 +224,18 @@ def _cmd_preprocess(cli: CliConfig) -> int:
 def _train_config_from(cli: CliConfig):
     from .trainer import SchedulerConfig, TrainConfig
 
-    section = dict(_require(cli.config, "trainer"))
-    sched = section.pop("scheduler", None)
-    if isinstance(sched, dict):
-        section["scheduler"] = SchedulerConfig(**sched)
-    if cli.seed is not None:
-        section["seed"] = cli.seed
-    if cli.profile is not None:
-        section["profile"] = cli.profile
-    if "warm_start" in section and section["warm_start"] is not None:
-        section["warm_start"] = tuple(section["warm_start"])
+    section = _require(cli.config, "trainer")
     try:
+        section = dict(section)
+        sched = section.pop("scheduler", None)
+        if isinstance(sched, dict):
+            section["scheduler"] = SchedulerConfig(**sched)
+        if cli.seed is not None:
+            section["seed"] = cli.seed
+        if cli.profile is not None:
+            section["profile"] = cli.profile
+        if section.get("warm_start") is not None:
+            section["warm_start"] = tuple(section["warm_start"])
         return TrainConfig(**section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad trainer config: {exc}")
@@ -256,6 +254,7 @@ def _epoch_csv(path, record) -> None:
 
 
 def _cmd_train(cli: CliConfig) -> int:
+    """train one model per the training config"""
     from .datapipe import SampleManifest
     from .evalstats import write_json
     from .trainer import train
@@ -274,22 +273,22 @@ def _cmd_train(cli: CliConfig) -> int:
 
 
 def _cmd_multirun(cli: CliConfig) -> int:
+    """repeat training over n seeds and aggregate"""
     from .datapipe import SampleManifest
-    from .evalstats import write_json, write_metrics_csv
+    from .evalstats import METRIC_NAMES, write_json, write_metrics_csv
     from .trainer import multi_run
 
     config = _train_config_from(cli)
+    n_runs = _number(cli.config.get("n_runs", 5), "n_runs", 1)
     manifest = SampleManifest.load(_require(cli.config, "manifest"))
-    n_runs = int(cli.config.get("n_runs", 5))
     result = multi_run(config, manifest, n_runs=n_runs, out_dir=cli.out_dir)
     out = Path(cli.out_dir)
     write_json(out / "summary.json", {
         "summary": result["summary"], "metrics": result["metrics"],
         "records": [r.as_dict() for r in result["records"]],
     })
-    columns = ["run", "accuracy", "auc", "precision", "recall", "f1"]
     rows = [dict(run=i, **m) for i, m in enumerate(result["metrics"])]
-    write_metrics_csv(out / "runs.csv", rows, columns)
+    write_metrics_csv(out / "runs.csv", rows, ["run", *METRIC_NAMES])
     _write_run_record(cli, {"n_runs": n_runs})
     acc = result["summary"]["accuracy"]
     print(f"accuracy best {acc['best']:.4f} mean {acc['mean']:.4f} "
@@ -298,22 +297,27 @@ def _cmd_multirun(cli: CliConfig) -> int:
 
 
 def _cmd_compare(cli: CliConfig) -> int:
+    """three-model comparative protocol on a shared paired test set"""
     from .datapipe import SampleManifest
-    from .evalstats import grouped_bar_svg, roc_svg, write_json, write_metrics_csv
-    from .trainer import comparative_protocol
+    from .evalstats import METRIC_NAMES, grouped_bar_svg, roc_svg, write_json, write_metrics_csv
+    from .trainer import MODEL_KINDS, comparative_protocol
 
+    epochs = cli.config.get("epochs") or {}
+    if not isinstance(epochs, dict) or not set(epochs) <= set(MODEL_KINDS):
+        raise ConfigError(f"config key 'epochs' must map {MODEL_KINDS} to ints, got {epochs!r}")
+    run_shape = dict(
+        epochs={k: _number(epochs.get(k, 10), f"epochs.{k}", 1) for k in MODEL_KINDS},
+        base_seed=(cli.seed if cli.seed is not None
+                   else _number(cli.config.get("base_seed", 0), "base_seed")),
+        n_runs=_number(cli.config.get("n_runs", 5), "n_runs", 1),
+        batch_size=_number(cli.config.get("batch_size", 8), "batch_size", 1))
     manifests = _require(cli.config, "manifests")
     mri = SampleManifest.load(_require(manifests, "mri"))
     us = SampleManifest.load(_require(manifests, "us"))
     paired = SampleManifest.load(_require(manifests, "paired"))
     result = comparative_protocol(
-        mri, us, paired,
-        profile=cli.profile or cli.config.get("profile", "micro"),
-        epochs=cli.config.get("epochs"),
-        base_seed=cli.seed if cli.seed is not None else int(cli.config.get("base_seed", 0)),
-        n_runs=int(cli.config.get("n_runs", 5)),
-        batch_size=int(cli.config.get("batch_size", 8)),
-        out_dir=cli.out_dir)
+        mri, us, paired, profile=cli.profile or cli.config.get("profile", "micro"),
+        out_dir=cli.out_dir, **run_shape)
 
     out = Path(cli.out_dir)
     write_json(out / "metrics.json", result["metrics"])
@@ -324,15 +328,12 @@ def _cmd_compare(cli: CliConfig) -> int:
     rows = [dict(model=m, run=i, **metrics)
             for m, per_run in result["metrics"].items()
             for i, metrics in enumerate(per_run)]
-    write_metrics_csv(out / "runs.csv", rows,
-                      ["model", "run", "accuracy", "auc", "precision",
-                       "recall", "f1"])
+    write_metrics_csv(out / "runs.csv", rows, ["model", "run", *METRIC_NAMES])
     write_atomic(out / "roc.svg", roc_svg(result["roc"], title="shared test set ROC"))
-    metric_names = ["accuracy", "auc", "precision", "recall", "f1"]
-    series = {m: [result["summaries"][m][k]["mean"] for k in metric_names]
+    series = {m: [result["summaries"][m][k]["mean"] for k in METRIC_NAMES]
               for m in result["metrics"]}
     write_atomic(out / "metrics.svg",
-                 grouped_bar_svg(metric_names, series, title="mean test metrics"))
+                 grouped_bar_svg(METRIC_NAMES, series, title="mean test metrics"))
     _write_run_record(cli, {"test_size": result["test_size"]})
     for model, summary in result["summaries"].items():
         acc = summary["accuracy"]
@@ -341,44 +342,44 @@ def _cmd_compare(cli: CliConfig) -> int:
     return EXIT_OK
 
 
-def _load_model_from_checkpoint(path, profile_override=None):
+def _checkpoint_split(cli: CliConfig):
+    """The config's checkpoint as an eval-mode model, with its kind, the
+    manifest split, that split's items for the kind and a ``PreprocessCache``
+    at the resolved profile."""
+    from .datapipe import SampleManifest
     from .models import build_model
     from .models.profiles import get_profile
     from .ndcore import ContainerError
-    from .trainer import load_checkpoint
+    from .trainer import MODEL_KINDS, PreprocessCache, items_for, load_checkpoint
 
+    path = _require(cli.config, "checkpoint")
     state, sidecar = load_checkpoint(path)
     kind = sidecar.get("model")
-    if kind not in ("mri", "us", "fusion"):
+    if kind not in MODEL_KINDS:
         raise ConfigError(f"checkpoint sidecar lacks a valid model kind: {kind!r}")
     try:
-        profile = get_profile(profile_override or sidecar.get("profile", "micro"))
+        profile = get_profile(cli.profile or sidecar.get("profile", "micro"))
         seed = int(sidecar.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ContainerError(f"{path}: bad checkpoint sidecar: {exc}") from None
     model = build_model(kind, profile, seed=seed)
     model.load_state_arrays(state)
     model.eval()
-    return model, kind, sidecar
+    manifest = SampleManifest.load(_require(cli.config, "manifest"))
+    split = cli.config.get("split", "test")
+    return model, kind, split, items_for(manifest, kind, split), PreprocessCache(profile)
 
 
 def _cmd_eval(cli: CliConfig) -> int:
-    from .datapipe import SampleManifest
+    """evaluate a checkpoint on a manifest split"""
     from .evalstats import report_from_scores, roc_svg, write_json
-    from .models.profiles import get_profile
-    from .trainer import PreprocessCache, TrainConfig, evaluate, items_for
+    from .trainer import DataError, TrainConfig, evaluate
 
-    model, kind, sidecar = _load_model_from_checkpoint(
-        _require(cli.config, "checkpoint"), cli.profile)
-    manifest = SampleManifest.load(_require(cli.config, "manifest"))
-    split = cli.config.get("split", "test")
-    profile = get_profile(cli.profile or sidecar.get("profile", "micro"))
-    items = items_for(manifest, kind, split)
+    model, kind, split, items, cache = _checkpoint_split(cli)
     if not items:
-        from .trainer import DataError
         raise DataError(f"no {kind} samples in split {split!r}")
-    cfg = TrainConfig(model=kind, profile=profile.name).resolved()
-    result = evaluate(model, items, PreprocessCache(profile), cfg)
+    cfg = TrainConfig(model=kind, profile=cache.profile.name).resolved()
+    result = evaluate(model, items, cache, cfg)
     report = report_from_scores(result["labels"], result["scores"])
     out = Path(cli.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -390,66 +391,56 @@ def _cmd_eval(cli: CliConfig) -> int:
 
 
 def _cmd_explain(cli: CliConfig) -> int:
-    from .datapipe import SampleManifest
+    """emit Grad-CAM overlays for chosen samples"""
     from .evalstats import write_json
     from .gradcam import gradcam, render_overlay
-    from .models.profiles import get_profile
-    from .trainer import PreprocessCache, items_for
 
-    model, kind, sidecar = _load_model_from_checkpoint(
-        _require(cli.config, "checkpoint"), cli.profile)
-    manifest = SampleManifest.load(_require(cli.config, "manifest"))
-    split = cli.config.get("split", "test")
-    class_index = int(cli.config.get("class_index", 1))
-    limit = int(cli.config.get("max_samples", 4))
-    profile = get_profile(cli.profile or sidecar.get("profile", "micro"))
-    cache = PreprocessCache(profile)
-
-    items = items_for(manifest, kind, split)
+    model, kind, split, items, cache = _checkpoint_split(cli)
+    class_index = _number(cli.config.get("class_index", 1), "class_index")
+    limit = _number(cli.config.get("max_samples", 4), "max_samples", 0)
     wanted = cli.config.get("patients")
     if wanted:
         items = [it for it in items if it.patient_id in set(wanted)]
     items = items[:limit]
 
+    targets = model.cam_targets() if kind == "fusion" else {kind: model.cam_target()}
     index = []
     out = Path(cli.out_dir)
     for it in items:
-        inputs, source = _explain_inputs(it, cache, kind)
-        targets = (model.cam_targets() if kind == "fusion"
-                   else {kind: model.cam_target()})
+        source = {b: cache.volume(it.mri_uri) if b == "mri" else cache.image(it.us_uri)
+                  for b in targets}
+        inputs = tuple(a[None] if b == "mri" else a for b, a in source.items())
         for branch, conv in targets.items():
             heat = gradcam(model, inputs, class_index, target=conv,
                            sample_id=it.patient_id)
-            src = source[branch] if isinstance(source, dict) else source
-            files = render_overlay(heat, src, out,
-                                   stem=f"{it.patient_id}_{branch}")
-            index.append(files)
+            index.append(render_overlay(heat, source[branch], out,
+                                        stem=f"{it.patient_id}_{branch}"))
     write_json(out / "explain_index.json", index)
     _write_run_record(cli, {"n_explained": len(items), "class_index": class_index})
     print(f"wrote Grad-CAM overlays for {len(items)} samples to {out}")
     return EXIT_OK
 
 
-def _explain_inputs(item, cache, kind):
-    if kind == "mri":
-        vol = cache.volume(item.mri_uri)
-        return (vol[None],), vol
-    if kind == "us":
-        img = cache.image(item.us_uri)
-        return (img,), img
-    vol = cache.volume(item.mri_uri)
-    img = cache.image(item.us_uri)
-    return (vol[None], img), {"mri": vol, "us": img}
-
-
 def _cmd_stats(cli: CliConfig) -> int:
-    from .evalstats import compare_models, write_json
+    """statistical comparison report from per-run metrics"""
+    from .evalstats import METRIC_NAMES, compare_models, write_json
+    from .trainer import DataError
 
-    metrics = cli.config.get("metrics")
+    metrics, error = cli.config.get("metrics"), ConfigError
     if metrics is None:
-        path = _require(cli.config, "metrics_file")
-        metrics = json.loads(Path(path).read_text())
-    result = compare_models(metrics, alpha=float(cli.config.get("alpha", 0.05)))
+        path, error = _require(cli.config, "metrics_file"), DataError
+        try:
+            metrics = json.loads(Path(path).read_text())
+        except ValueError as exc:
+            raise DataError(f"{path} is not JSON: {exc}") from None
+    if not (isinstance(metrics, dict) and all(
+            isinstance(runs, list) and all(isinstance(run, dict) and all(
+                type(run.get(k)) in (int, float) for k in METRIC_NAMES) for run in runs)
+            for runs in metrics.values())):
+        raise error("metrics must map each model to a list of runs, each an object "
+                    f"of numbers for {', '.join(METRIC_NAMES)}")
+    alpha = float(_number(cli.config.get("alpha", 0.05), "alpha", kinds=(int, float)))
+    result = compare_models(metrics, alpha=alpha)
     out = Path(cli.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "comparison.json", result)
@@ -460,6 +451,7 @@ def _cmd_stats(cli: CliConfig) -> int:
     return EXIT_OK
 
 
+# the one list of subcommands; each implementation's docstring is its help line
 _COMMANDS = {
     "synth": _cmd_synth,
     "preprocess": _cmd_preprocess,

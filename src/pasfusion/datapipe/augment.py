@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .niftiio import Volume
-from .preprocess import _resample_axis, cubic_taps
+from .preprocess import _resample_axis, _centred_positions, cubic_taps
 
 ZOOM_RANGE = (1.1, 1.3)
 ROTATION_DEGREES = 10.0
@@ -30,12 +30,13 @@ def sample_rng(global_seed: int, patient_id: str, epoch: int,
 
 
 def zoom_center_crop(vox: np.ndarray, factor: float) -> np.ndarray:
-    """Zoom by ``factor`` and keep the centre ``vox.shape`` window; only the
-    kept voxels are resampled, one axis at a time."""
+    """Zoom by ``factor`` (>= 1) and keep the centre ``vox.shape`` window;
+    only the kept voxels are resampled, one axis at a time."""
     out = vox.astype(np.float64)
     for axis, e in enumerate(vox.shape):
         scaled = max(1, int(round(e * factor)))
-        out = _resample_axis(out, scaled, axis, cubic_taps, start=(scaled - e) // 2, count=e)
+        x = _centred_positions(e, scaled)[(scaled - e) // 2:][:e]
+        out = _resample_axis(out, x, axis, cubic_taps)
     return out
 
 

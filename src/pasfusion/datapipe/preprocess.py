@@ -37,29 +37,43 @@ def linear_taps(t: np.ndarray):
     return 0, (1.0 - t, t)
 
 
-def _resample_axis(arr: np.ndarray, n_out: int, axis: int, kernel,
-                   start: int = 0, count: int | None = None) -> np.ndarray:
-    """Resample ``axis`` to ``n_out`` half-pixel-centred positions with the
-    ``kernel`` taps (edge-clamped), computing only the ``count`` positions
-    from ``start`` on (default: all of them)."""
+# float64 values of gathered taps per block of output positions (8 MB)
+_BLOCK_VALUES = 1 << 20
+
+
+def _resample_axis(arr: np.ndarray, x: np.ndarray, axis: int, kernel) -> np.ndarray:
+    """Sample ``axis`` at the positions ``x`` with the ``kernel`` taps
+    (edge-clamped); the positions ``0..n-1`` of an ``n``-long axis return
+    ``arr`` itself.
+
+    The taps are gathered and summed one block of positions at a time, so a
+    paper-scale volume never holds all of them at once; each output value is
+    the same einsum sum as over the whole axis."""
     n_in = arr.shape[axis]
-    count = n_out if count is None else count
-    if n_out == n_in and (start, count) == (0, n_in):
+    if len(x) == n_in and np.array_equal(x, np.arange(n_in)):
         return arr
-    x = (np.arange(start, start + count) + 0.5) * (n_in / n_out) - 0.5
     base = np.floor(x).astype(np.int64)
     first, weights = kernel(x - base)
     w = np.stack(weights)
     idx = np.clip(base + np.arange(first, first + len(w))[:, None], 0, n_in - 1)
-    moved = np.moveaxis(arr, axis, 0).astype(np.float64)
-    out = np.einsum("kn,kn...->n...", w, moved[idx])    # moved[idx]: (taps, count, ...)
+    moved = np.ascontiguousarray(np.moveaxis(arr, axis, 0), dtype=np.float64)
+    out = np.empty((len(x),) + moved.shape[1:])
+    step = max(1, _BLOCK_VALUES // (len(w) * max(1, math.prod(moved.shape[1:]))))
+    for lo in range(0, len(x), step):
+        block = slice(lo, lo + step)
+        np.einsum("kn,kn...->n...", w[:, block], moved[idx[:, block]], out=out[block])
     return np.moveaxis(out, 0, axis)
+
+
+def _centred_positions(n_in: int, n_out: int) -> np.ndarray:
+    """Positions of ``n_out`` half-pixel-centred samples over an ``n_in``-long axis."""
+    return (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
 
 
 def resample(arr: np.ndarray, extents, kernel) -> np.ndarray:
     """Resample the leading ``len(extents)`` axes to ``extents``, one axis at a time."""
     for ax, n in enumerate(extents):
-        arr = _resample_axis(arr, n, ax, kernel)
+        arr = _resample_axis(arr, _centred_positions(arr.shape[ax], n), ax, kernel)
     return arr
 
 

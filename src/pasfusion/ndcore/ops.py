@@ -139,32 +139,27 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return record(out, tuple(parts), backward_fn)
 
 
+def _reduction_backward(shape: tuple, axis, keepdims: bool, count: int):
+    """Backward of a reduction over ``axis`` of an input of ``shape``:
+    ``g / count`` spread back over the reduced axes."""
+    def backward_fn(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g / count, shape).copy(),)
+
+    return backward_fn
+
+
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-
-    def backward_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return record(out, (a,), backward_fn)
+    return record(out, (a,), _reduction_backward(a.shape, axis, keepdims, 1))
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.size if axis is None else math.prod(
         a.shape[ax] for ax in np.atleast_1d(axis))
     out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
-
-    def backward_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, a.shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, a.shape).copy(),)
-
-    return record(out, (a,), backward_fn)
+    return record(out, (a,), _reduction_backward(a.shape, axis, keepdims, count))
 
 
 # --------------------------------------------------------------------------
@@ -426,15 +421,7 @@ def global_avgpool(x: Tensor) -> Tensor:
     """Mean over every spatial position, one value per channel: (B, C)."""
     if x.ndim < 3:
         raise ShapeError("global_avgpool needs at least one spatial axis")
-    axes = tuple(range(2, x.ndim))
-    n = int(np.prod(x.shape[2:]))
-    out = Tensor(x.data.mean(axis=axes))
-
-    def backward_fn(g):
-        return (np.broadcast_to(g.reshape(g.shape + (1,) * len(axes)) / n,
-                                x.shape).copy(),)
-
-    return record(out, (x,), backward_fn)
+    return mean(x, axis=tuple(range(2, x.ndim)))
 
 
 # --------------------------------------------------------------------------

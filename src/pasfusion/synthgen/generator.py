@@ -17,6 +17,7 @@ import numpy as np
 
 from ..atomic import write_atomic
 from ..datapipe import Pairing, Sample, SampleManifest, write_rimg, write_rvol
+from ..datapipe.preprocess import _resample_axis, linear_taps
 from ..models.profiles import ScaleProfile, get_profile
 
 # geometry constants (voxels / pixels); fixed so acceptance thresholds are stable
@@ -73,24 +74,12 @@ def _positive_rank(labels: np.ndarray, index: int) -> int:
     return int(labels[:index].sum())
 
 
-def _upsample_linear(knots: np.ndarray, extents) -> np.ndarray:
-    out = knots.astype(np.float64)
-    for ax, n in enumerate(extents):
-        n_in = out.shape[ax]
-        x = np.linspace(0, n_in - 1, n)
-        base = np.clip(np.floor(x).astype(np.int64), 0, n_in - 2) if n_in > 1 else np.zeros(n, np.int64)
-        t = x - base if n_in > 1 else np.zeros(n)
-        moved = np.moveaxis(out, ax, 0)
-        interp = moved[base] * (1.0 - t).reshape((-1,) + (1,) * (out.ndim - 1)) \
-            + moved[np.minimum(base + 1, n_in - 1)] * t.reshape((-1,) + (1,) * (out.ndim - 1))
-        out = np.moveaxis(interp, 0, ax)
-    return out
-
-
 def _background(rng: np.random.Generator, extents, noise_sigma: float) -> np.ndarray:
     knot_shape = FIELD_KNOTS[:len(extents)]
     knots = rng.uniform(-0.12, 0.12, size=knot_shape)
-    field = _upsample_linear(knots, extents)
+    field = knots
+    for ax, n in enumerate(extents):     # align-corners linear upsampling
+        field = _resample_axis(field, np.linspace(0, knots.shape[ax] - 1, n), ax, linear_taps)
     field = field - field.mean() + BACKGROUND_LEVEL   # pin the mean per sample
     return field + rng.normal(0.0, noise_sigma, size=extents)
 

@@ -83,6 +83,40 @@ class TestParsing:
         assert "synth" in capsys.readouterr().out
 
 
+def _malformed_cases(manifest, checkpoint, metrics_file) -> dict:
+    """case -> (command, config holding one malformed value, exit code, text
+    of ``metrics_file`` or None)."""
+    protocol = {"manifests": {"mri": manifest, "us": manifest, "paired": manifest},
+                "n_runs": 1, "epochs": {"mri": 1, "us": 1, "fusion": 1}}
+    explain = {"checkpoint": checkpoint, "manifest": manifest, "max_samples": 1}
+    runs = [dict(accuracy=a, auc=a, precision=a, recall=a, f1=a) for a in (0.5, 0.6)]
+    bad_shape = {"a": [{"accuracy": 1}], "b": 3}
+    return {
+        "trainer-scheduler": ("train", {"trainer": {"model": "us", "scheduler": {"bogus": 1}},
+                                        "manifest": manifest}, EXIT_CONFIG, None),
+        "trainer-list": ("train", {"trainer": [1, 2], "manifest": manifest}, EXIT_CONFIG, None),
+        "trainer-warm_start": ("train", {"trainer": {"model": "fusion", "warm_start": 5},
+                                         "manifest": manifest}, EXIT_CONFIG, None),
+        "compare-n_runs": ("compare", {**protocol, "n_runs": "two"}, EXIT_CONFIG, None),
+        "compare-batch_size": ("compare", {**protocol, "batch_size": "eight"}, EXIT_CONFIG, None),
+        "compare-base_seed": ("compare", {**protocol, "base_seed": None}, EXIT_CONFIG, None),
+        "compare-epochs": ("compare", {**protocol, "epochs": 3}, EXIT_CONFIG, None),
+        "compare-epochs-kind": ("compare", {**protocol, "epochs": {"mri": "x"}},
+                                EXIT_CONFIG, None),
+        "multirun-n_runs": ("multirun", {"trainer": {"model": "us"}, "manifest": manifest,
+                                         "n_runs": "x"}, EXIT_CONFIG, None),
+        "explain-class_index": ("explain", {**explain, "class_index": "one"}, EXIT_CONFIG, None),
+        "explain-max_samples": ("explain", {**explain, "max_samples": [1]}, EXIT_CONFIG, None),
+        "stats-alpha": ("stats", {"metrics": {"a": runs, "b": runs}, "alpha": "x"},
+                        EXIT_CONFIG, None),
+        "stats-metrics": ("stats", {"metrics": bad_shape}, EXIT_CONFIG, None),
+        "stats-metrics_file": ("stats", {"metrics_file": metrics_file}, EXIT_DATA,
+                               json.dumps(bad_shape)),
+        "stats-metrics_file-json": ("stats", {"metrics_file": metrics_file}, EXIT_DATA,
+                                    "{not json"),
+    }
+
+
 class TestExitCodes:
     def test_missing_config_file_is_config_error(self, tmp_path):
         code = main(["train", "--config", str(tmp_path / "nope.json"),
@@ -224,6 +258,28 @@ class TestExitCodes:
             "manifest": str(dataset_dir / "data" / "manifest.json"), "split": "test"}))
         code = main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("case", list(_malformed_cases("m", "c", "f")))
+    def test_malformed_config_value_exits_cleanly(self, dataset_dir, tmp_path, capsys, case):
+        manifest = str(dataset_dir / "data" / "manifest.json")
+        ckpt, metrics_file = tmp_path / "us.ckpt", tmp_path / "metrics.json"
+        command, config, code, file_text = _malformed_cases(
+            manifest, str(ckpt), str(metrics_file))[case]
+        if command == "explain":
+            from pasfusion.models import build_model
+            from pasfusion.trainer import save_checkpoint, snapshot_state
+
+            save_checkpoint(ckpt, snapshot_state(build_model("us", "micro", seed=0)),
+                            {"model": "us", "profile": "micro", "seed": 0})
+        if file_text is not None:
+            metrics_file.write_text(file_text)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        lines = capsys.readouterr().err.splitlines()
+        prefix = "config error: " if code == EXIT_CONFIG else "data error: "
+        assert len(lines) == 1 and lines[0].startswith(prefix), lines
 
 
 class TestArtifacts:

@@ -2,6 +2,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from pasfusion.datapipe import (
     write_rimg,
     write_rvol,
 )
+from pasfusion.datapipe import preprocess
 
 
 # any JSON value, for fuzzing readers of JSON-headed files and manifests
@@ -289,6 +291,31 @@ class TestPreprocessMri:
         interior = out[4:-4, 0, 0]      # away from the clamped borders
         diffs = np.diff(interior)
         np.testing.assert_allclose(diffs, diffs[0], atol=1e-9)
+
+    @pytest.mark.parametrize("values", [1, 7, 100, 1 << 20])
+    @pytest.mark.parametrize("shape,extents", [((9, 6, 5), (14, 4, 5)), ((5,), (12,)),
+                                               ((3, 1), (1, 1)), ((6, 4), (6, 9))])
+    def test_blocked_resample_is_bitwise_one_block(self, monkeypatch, rng, shape, extents, values):
+        vox = rng.random(shape)
+        monkeypatch.setattr(preprocess, "_BLOCK_VALUES", 1 << 30)
+        whole = preprocess.resample(vox, extents, preprocess.cubic_taps)
+        monkeypatch.setattr(preprocess, "_BLOCK_VALUES", values)
+        blocked = preprocess.resample(vox, extents, preprocess.cubic_taps)
+        assert blocked.shape == whole.shape and blocked.tobytes() == whole.tobytes()
+
+    def test_resample_holds_one_block_of_taps(self, monkeypatch, rng):
+        # four taps of a 48-position axis over 64 x 64 float64 values: 6 MB
+        # gathered at once; in 128 KB blocks the peak is about the 1.5 MB output
+        vox = rng.random((64, 64, 64))
+        monkeypatch.setattr(preprocess, "_BLOCK_VALUES", 1 << 14)
+        x = preprocess._centred_positions(64, 48)
+        tracemalloc.start()
+        try:
+            out = preprocess._resample_axis(vox, x, 0, preprocess.cubic_taps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.nbytes
 
 
 class TestNonFiniteInput:
