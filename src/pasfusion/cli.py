@@ -160,6 +160,16 @@ def _number(value, name: str, minimum=None, kinds=(int,)):
     return value
 
 
+def _profile(name):
+    """The scale profile called ``name``; any other value is a ConfigError."""
+    from .models.profiles import get_profile
+
+    try:
+        return get_profile(name)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 # -- command implementations ---------------------------------------------------
 
 def _cmd_synth(cli: CliConfig) -> int:
@@ -169,18 +179,22 @@ def _cmd_synth(cli: CliConfig) -> int:
 
     cfg = dict(cli.config)
     split_ratios = cfg.pop("split_ratios", None)
-    split_seed = cfg.pop("split_seed", 0)
+    split_seed = _number(cfg.pop("split_seed", 0), "split_seed", 0)
+    if split_ratios is not None:
+        if not isinstance(split_ratios, list):
+            raise ConfigError(f"config key 'split_ratios' must be a list, got {split_ratios!r}")
+        split_ratios = tuple(_number(r, "split_ratios", 0, (int, float)) for r in split_ratios)
     if cli.seed is not None:
         cfg["seed"] = cli.seed
     if cli.profile is not None:
         cfg["profile"] = cli.profile
     try:
         spec = SynthSpec(**cfg)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad synth config: {exc}")
     manifest = generate_dataset(spec, cli.out_dir)
     if split_ratios is not None:
-        stratified_split(manifest, tuple(split_ratios), split_seed)
+        stratified_split(manifest, split_ratios, split_seed)
         manifest.save(Path(cli.out_dir) / "manifest.json")
     _write_run_record(cli, {"n_pairs": spec.n_pairs})
     print(f"wrote {spec.n_pairs} pairs to {cli.out_dir}")
@@ -192,11 +206,10 @@ def _cmd_preprocess(cli: CliConfig) -> int:
     import numpy as np
 
     from .datapipe import SampleManifest, write_rimg, write_rvol
-    from .models.profiles import get_profile
     from .trainer import PreprocessCache
 
+    profile = _profile(cli.profile or cli.config.get("profile", "micro"))
     manifest = SampleManifest.load(_require(cli.config, "manifest"))
-    profile = get_profile(cli.profile or cli.config.get("profile", "micro"))
     cache = PreprocessCache(profile)
     out = Path(cli.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -307,17 +320,16 @@ def _cmd_compare(cli: CliConfig) -> int:
         raise ConfigError(f"config key 'epochs' must map {MODEL_KINDS} to ints, got {epochs!r}")
     run_shape = dict(
         epochs={k: _number(epochs.get(k, 10), f"epochs.{k}", 1) for k in MODEL_KINDS},
-        base_seed=(cli.seed if cli.seed is not None
-                   else _number(cli.config.get("base_seed", 0), "base_seed")),
+        base_seed=_number(cli.seed if cli.seed is not None else cli.config.get("base_seed", 0),
+                          "base_seed", 0),
         n_runs=_number(cli.config.get("n_runs", 5), "n_runs", 1),
-        batch_size=_number(cli.config.get("batch_size", 8), "batch_size", 1))
+        batch_size=_number(cli.config.get("batch_size", 8), "batch_size", 1),
+        profile=_profile(cli.profile or cli.config.get("profile", "micro")).name)
     manifests = _require(cli.config, "manifests")
     mri = SampleManifest.load(_require(manifests, "mri"))
     us = SampleManifest.load(_require(manifests, "us"))
     paired = SampleManifest.load(_require(manifests, "paired"))
-    result = comparative_protocol(
-        mri, us, paired, profile=cli.profile or cli.config.get("profile", "micro"),
-        out_dir=cli.out_dir, **run_shape)
+    result = comparative_protocol(mri, us, paired, out_dir=cli.out_dir, **run_shape)
 
     out = Path(cli.out_dir)
     write_json(out / "metrics.json", result["metrics"])
@@ -348,7 +360,6 @@ def _checkpoint_split(cli: CliConfig):
     at the resolved profile."""
     from .datapipe import SampleManifest
     from .models import build_model
-    from .models.profiles import get_profile
     from .ndcore import ContainerError
     from .trainer import MODEL_KINDS, PreprocessCache, items_for, load_checkpoint
 
@@ -358,9 +369,9 @@ def _checkpoint_split(cli: CliConfig):
     if kind not in MODEL_KINDS:
         raise ConfigError(f"checkpoint sidecar lacks a valid model kind: {kind!r}")
     try:
-        profile = get_profile(cli.profile or sidecar.get("profile", "micro"))
+        profile = _profile(cli.profile or sidecar.get("profile", "micro"))
         seed = int(sidecar.get("seed", 0))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:     # a ConfigError too
         raise ContainerError(f"{path}: bad checkpoint sidecar: {exc}") from None
     model = build_model(kind, profile, seed=seed)
     model.load_state_arrays(state)

@@ -9,12 +9,13 @@ fixed order, so a given (stream, input) pair is reproducible.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
 
 from .niftiio import Volume
-from .preprocess import _resample_axis, _centred_positions, cubic_taps
+from .preprocess import _centred_positions, _resample_axis, _tap_matrix, cubic_taps
 
 ZOOM_RANGE = (1.1, 1.3)
 ROTATION_DEGREES = 10.0
@@ -56,31 +57,29 @@ def augment_mri(volume: Volume, rng: np.random.Generator) -> Volume:
 
 
 def rotate_bilinear(img: np.ndarray, degrees: float) -> np.ndarray:
-    """Rotate (C, H, W) about the image center; zero outside the support."""
+    """Rotate (C, H, W) about the image center; zero outside the support.
+
+    One sparse product per channel: each output pixel is a row of its four
+    bilinear taps, (0, 0), (0, 1), (1, 0) and (1, 1), over the flattened H*W
+    grid; a tap outside the image keeps its entry with a zero weight."""
     c, h, w = img.shape
     theta = math.radians(degrees)
     cos, sin = math.cos(theta), math.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    dy, dx = yy - cy, xx - cx
-    src_y = cos * dy + sin * dx + cy
-    src_x = -sin * dy + cos * dx + cx
-
-    y0 = np.floor(src_y).astype(np.int64)
-    x0 = np.floor(src_x).astype(np.int64)
-    ty = src_y - y0
-    tx = src_x - x0
-
-    out = np.zeros_like(img, dtype=np.float64)
-    for oy, ox, wgt in ((0, 0, (1 - ty) * (1 - tx)), (0, 1, (1 - ty) * tx),
-                        (1, 0, ty * (1 - tx)), (1, 1, ty * tx)):
-        ys, xs = y0 + oy, x0 + ox
-        valid = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
-        ysc = np.clip(ys, 0, h - 1)
-        xsc = np.clip(xs, 0, w - 1)
-        contrib = img[:, ysc, xsc] * (wgt * valid)
-        out += contrib
-    return out
+    dy, dx = np.arange(h)[:, None] - cy, np.arange(w) - cx
+    axes = []
+    for src, n in ((cos * dy + sin * dx + cy, h), (-sin * dy + cos * dx + cx, w)):
+        base = np.floor(src).astype(np.int64)
+        t = src - base
+        # offsets 0 and 1 on this axis: the clamped index and the weight, zeroed outside
+        axes.append([(np.clip(base + o, 0, n - 1), wt * ((base + o >= 0) & (base + o < n)))
+                     for o, wt in ((0, 1 - t), (1, t))])
+    cols, weights = np.empty((h, w, 4), np.int64), np.empty((h, w, 4))
+    for k, ((iy, wy), (ix, wx)) in enumerate(itertools.product(*axes)):
+        np.add(iy * w, ix, out=cols[..., k])
+        np.multiply(wy, wx, out=weights[..., k])
+    taps = _tap_matrix(cols.reshape(h * w, 4), weights.reshape(h * w, 4), h * w)
+    return np.stack([taps @ channel for channel in img.reshape(c, h * w)]).reshape(c, h, w)
 
 
 def augment_us(img: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
 
 from .niftiio import Volume
 
@@ -37,32 +38,29 @@ def linear_taps(t: np.ndarray):
     return 0, (1.0 - t, t)
 
 
-# float64 values of gathered taps per block of output positions (8 MB)
-_BLOCK_VALUES = 1 << 20
+def _tap_matrix(cols: np.ndarray, weights: np.ndarray, n_in: int) -> sparse.csr_array:
+    """``(n_out, n_in)`` CSR matrix with ``weights[i]`` at columns ``cols[i]`` in
+    row ``i``, left in tap order: no sorting and no merging of the columns that
+    clamped edges repeat, so a product with it sums each row in tap order."""
+    n_out, k = cols.shape
+    return sparse.csr_array((weights.ravel(), cols.ravel(), np.arange(0, k * n_out + 1, k)),
+                            shape=(n_out, n_in))
 
 
 def _resample_axis(arr: np.ndarray, x: np.ndarray, axis: int, kernel) -> np.ndarray:
     """Sample ``axis`` at the positions ``x`` with the ``kernel`` taps
-    (edge-clamped); the positions ``0..n-1`` of an ``n``-long axis return
-    ``arr`` itself.
-
-    The taps are gathered and summed one block of positions at a time, so a
-    paper-scale volume never holds all of them at once; each output value is
-    the same einsum sum as over the whole axis."""
+    (edge-clamped) as one sparse tap-matrix product, so no tap is copied; the
+    positions ``0..n-1`` of an ``n``-long axis return ``arr`` itself."""
     n_in = arr.shape[axis]
     if len(x) == n_in and np.array_equal(x, np.arange(n_in)):
         return arr
     base = np.floor(x).astype(np.int64)
     first, weights = kernel(x - base)
-    w = np.stack(weights)
-    idx = np.clip(base + np.arange(first, first + len(w))[:, None], 0, n_in - 1)
+    w = np.stack(weights, axis=1)
+    idx = np.clip(base[:, None] + np.arange(first, first + w.shape[1]), 0, n_in - 1)
     moved = np.ascontiguousarray(np.moveaxis(arr, axis, 0), dtype=np.float64)
-    out = np.empty((len(x),) + moved.shape[1:])
-    step = max(1, _BLOCK_VALUES // (len(w) * max(1, math.prod(moved.shape[1:]))))
-    for lo in range(0, len(x), step):
-        block = slice(lo, lo + step)
-        np.einsum("kn,kn...->n...", w[:, block], moved[idx[:, block]], out=out[block])
-    return np.moveaxis(out, 0, axis)
+    out = _tap_matrix(idx, w, n_in) @ moved.reshape(n_in, -1)
+    return np.moveaxis(out.reshape((len(x),) + moved.shape[1:]), 0, axis)
 
 
 def _centred_positions(n_in: int, n_out: int) -> np.ndarray:

@@ -41,6 +41,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name, minimum in (("n_pairs", 0), ("seed", 0)):    # 0 pairs: an empty dataset
+            if type(value := getattr(self, name)) is not int or value < minimum:
+                raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+        get_profile(self.profile)
         if not 0.0 < self.positive_fraction < 1.0:
             raise ValueError("positive_fraction must lie in (0, 1)")
         if self.signal_strength <= 0:

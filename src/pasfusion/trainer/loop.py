@@ -64,8 +64,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
             raise ValueError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
-        if self.batch_size < 1 or self.lr <= 0:
-            raise ValueError("batch_size must be >= 1 and lr > 0")
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            if type(value := getattr(self, name)) is not int or value < minimum:
+                raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+        if type(self.lr) not in (int, float) or not self.lr > 0:
+            raise ValueError(f"lr must be a number > 0, got {self.lr!r}")
+        get_profile(self.profile)
 
     def resolved(self) -> "TrainConfig":
         """Fill model-specific defaults: CE for unimodal (smoothing 0.1 and

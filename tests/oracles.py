@@ -171,3 +171,50 @@ def bh_stepup(pvals):
         running = min(running, p[idx] * m / (rank_from_top + 1))
         adj[idx] = running
     return adj
+
+
+def _catmull_rom(t):
+    t = abs(t)
+    if t <= 1.0:
+        return 1.5 * t ** 3 - 2.5 * t ** 2 + 1.0
+    if t < 2.0:
+        return -0.5 * t ** 3 + 2.5 * t ** 2 - 4.0 * t + 2.0
+    return 0.0
+
+
+def resample_axis_loops(arr, x, axis, kernel):
+    """Sample ``axis`` of ``arr`` at each position ``x[i]`` as a loop over its
+    taps: ``kernel`` "cubic" is Catmull-Rom at offsets -1..2 from
+    ``floor(x[i])``, "linear" is the hat at offsets 0..1; tap indices are
+    clamped to the axis."""
+    offsets, weight = {"cubic": ((-1, 0, 1, 2), _catmull_rom),
+                       "linear": ((0, 1), lambda t: max(0.0, 1.0 - abs(t)))}[kernel]
+    moved = np.moveaxis(np.asarray(arr, dtype=np.float64), axis, 0)
+    n = moved.shape[0]
+    out = np.zeros((len(x),) + moved.shape[1:])
+    for i, xi in enumerate(x):
+        base = int(np.floor(xi))
+        for o in offsets:
+            out[i] += weight(xi - base - o) * moved[min(max(base + o, 0), n - 1)]
+    return np.moveaxis(out, 0, axis)
+
+
+def rotate_bilinear_loops(img, degrees):
+    """Rotate (C, H, W) about the image centre, one output pixel at a time:
+    bilinear over the four neighbours of the source point, a neighbour
+    outside the image contributing zero."""
+    c, h, w = img.shape
+    theta = np.radians(degrees)
+    cos, sin = np.cos(theta), np.sin(theta)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    out = np.zeros((c, h, w))
+    for y in range(h):
+        for x in range(w):
+            sy = cos * (y - cy) + sin * (x - cx) + cy
+            sx = -sin * (y - cy) + cos * (x - cx) + cx
+            y0, x0 = int(np.floor(sy)), int(np.floor(sx))
+            for ny, wy in ((y0, 1.0 - (sy - y0)), (y0 + 1, sy - y0)):
+                for nx, wx in ((x0, 1.0 - (sx - x0)), (x0 + 1, sx - x0)):
+                    if 0 <= ny < h and 0 <= nx < w:
+                        out[:, y, x] += wy * wx * img[:, ny, nx]
+    return out

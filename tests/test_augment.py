@@ -12,6 +12,8 @@ from pasfusion.datapipe import (
 )
 from pasfusion.datapipe.preprocess import resample_volume_cubic
 
+from oracles import rotate_bilinear_loops
+
 
 class TestMriAugment:
     def test_shape_and_finiteness_preserved(self, rng):
@@ -93,6 +95,14 @@ class TestUsAugment:
         out = augment_us(img, sample_rng(0, "p", 0))
         assert out.shape == (3, 56, 56)
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("shape,degrees", [((9, 9), 7.5), ((12, 7), -10.0),
+                                               ((5, 16), 33.0), ((1, 4), 3.0)])
+    def test_rotation_matches_loop_oracle(self, rng, channels, shape, degrees):
+        img = rng.random((channels,) + shape)
+        np.testing.assert_allclose(rotate_bilinear(img, degrees),
+                                   rotate_bilinear_loops(img, degrees), rtol=0, atol=1e-12)
 
     def test_zero_fill_outside(self):
         img = np.ones((1, 32, 32))

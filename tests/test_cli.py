@@ -91,7 +91,24 @@ def _malformed_cases(manifest, checkpoint, metrics_file) -> dict:
     explain = {"checkpoint": checkpoint, "manifest": manifest, "max_samples": 1}
     runs = [dict(accuracy=a, auc=a, precision=a, recall=a, f1=a) for a in (0.5, 0.6)]
     bad_shape = {"a": [{"accuracy": 1}], "b": 3}
+    synth = {"n_pairs": 4, "positive_fraction": 0.5}
     return {
+        "synth-positive_fraction": ("synth", {**synth, "positive_fraction": 2}, EXIT_CONFIG, None),
+        "synth-n_pairs": ("synth", {**synth, "n_pairs": "x"}, EXIT_CONFIG, None),
+        "synth-seed": ("synth", {**synth, "seed": -1}, EXIT_CONFIG, None),
+        "synth-profile": ("synth", {**synth, "profile": "nope"}, EXIT_CONFIG, None),
+        "synth-split_ratios": ("synth", {**synth, "split_ratios": 5}, EXIT_CONFIG, None),
+        "synth-split_seed": ("synth", {**synth, "split_ratios": [0.5, 0.25, 0.25],
+                                       "split_seed": "x"}, EXIT_CONFIG, None),
+        "preprocess-profile": ("preprocess", {"manifest": manifest, "profile": "nope"},
+                               EXIT_CONFIG, None),
+        "trainer-epochs": ("train", {"trainer": {"model": "us", "epochs": "x"},
+                                     "manifest": manifest}, EXIT_CONFIG, None),
+        "trainer-seed": ("train", {"trainer": {"model": "us", "seed": -1},
+                                   "manifest": manifest}, EXIT_CONFIG, None),
+        "trainer-profile": ("train", {"trainer": {"model": "us", "profile": "nope"},
+                                      "manifest": manifest}, EXIT_CONFIG, None),
+        "compare-profile": ("compare", {**protocol, "profile": "nope"}, EXIT_CONFIG, None),
         "trainer-scheduler": ("train", {"trainer": {"model": "us", "scheduler": {"bogus": 1}},
                                         "manifest": manifest}, EXIT_CONFIG, None),
         "trainer-list": ("train", {"trainer": [1, 2], "manifest": manifest}, EXIT_CONFIG, None),

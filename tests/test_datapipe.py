@@ -37,6 +37,8 @@ from pasfusion.datapipe import (
 )
 from pasfusion.datapipe import preprocess
 
+from oracles import resample_axis_loops
+
 
 # any JSON value, for fuzzing readers of JSON-headed files and manifests
 JSON_VALUES = st.recursive(
@@ -292,22 +294,44 @@ class TestPreprocessMri:
         diffs = np.diff(interior)
         np.testing.assert_allclose(diffs, diffs[0], atol=1e-9)
 
-    @pytest.mark.parametrize("values", [1, 7, 100, 1 << 20])
+    @pytest.mark.parametrize("block", [1, 7, 100, 1 << 20])
     @pytest.mark.parametrize("shape,extents", [((9, 6, 5), (14, 4, 5)), ((5,), (12,)),
                                                ((3, 1), (1, 1)), ((6, 4), (6, 9))])
-    def test_blocked_resample_is_bitwise_one_block(self, monkeypatch, rng, shape, extents, values):
+    def test_blocked_resample_is_bitwise_one_block(self, rng, shape, extents, block):
+        # each output position is one row of taps, so sampling the positions a
+        # block at a time gives the bytes of sampling them all at once
         vox = rng.random(shape)
-        monkeypatch.setattr(preprocess, "_BLOCK_VALUES", 1 << 30)
         whole = preprocess.resample(vox, extents, preprocess.cubic_taps)
-        monkeypatch.setattr(preprocess, "_BLOCK_VALUES", values)
-        blocked = preprocess.resample(vox, extents, preprocess.cubic_taps)
+        blocked = vox
+        for ax, n in enumerate(extents):
+            x = preprocess._centred_positions(blocked.shape[ax], n)
+            blocked = np.concatenate(
+                [preprocess._resample_axis(blocked, x[lo:lo + block], ax, preprocess.cubic_taps)
+                 for lo in range(0, n, block)], axis=ax)
         assert blocked.shape == whole.shape and blocked.tobytes() == whole.tobytes()
 
-    def test_resample_holds_one_block_of_taps(self, monkeypatch, rng):
-        # four taps of a 48-position axis over 64 x 64 float64 values: 6 MB
-        # gathered at once; in 128 KB blocks the peak is about the 1.5 MB output
+    @pytest.mark.parametrize("kernel", ["cubic", "linear"])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
+    @pytest.mark.parametrize("shape,axis", [((9,), 0), ((7, 5), 1), ((6, 5, 4), 0),
+                                            ((6, 5, 4), 2)])
+    def test_resample_axis_matches_loop_oracle(self, rng, kernel, dtype, shape, axis):
+        # every other entry of the last axis: a strided input
+        arr = (rng.random(shape[:-1] + (2 * shape[-1],)) * 200).astype(dtype)[..., ::2]
+        n = arr.shape[axis]
+        taps = {"cubic": preprocess.cubic_taps, "linear": preprocess.linear_taps}[kernel]
+        # shrink, grow (edge taps clamp), a zoom window and align-corners
+        for x in (preprocess._centred_positions(n, max(1, n // 2)),
+                  preprocess._centred_positions(n, 2 * n + 1),
+                  preprocess._centred_positions(n, 2 * n)[n // 2:][:n],
+                  np.linspace(0, n - 1, n + 3)):
+            out = preprocess._resample_axis(arr, x, axis, taps)
+            np.testing.assert_allclose(out, resample_axis_loops(arr, x, axis, kernel),
+                                       rtol=0, atol=1e-12)
+
+    def test_resample_gathers_no_taps(self, rng):
+        # four taps of a 48-position axis over 64 x 64 float64 values would be
+        # 6 MB gathered; one sparse product peaks at about the 1.5 MB output
         vox = rng.random((64, 64, 64))
-        monkeypatch.setattr(preprocess, "_BLOCK_VALUES", 1 << 14)
         x = preprocess._centred_positions(64, 48)
         tracemalloc.start()
         try:
