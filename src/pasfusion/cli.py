@@ -20,15 +20,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .atomic import write_atomic
+from .config import NUMBER, ConfigError, check
 
 EXIT_OK = 0
 EXIT_WORKER = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -145,29 +143,25 @@ def _write_run_record(cli: CliConfig, extra: dict | None = None) -> None:
     write_atomic(out / "run.json", json.dumps(payload, indent=1, sort_keys=True))
 
 
-def _require(config: dict, key: str):
+def _require(config: dict, key: str, kinds: tuple = (str,)):
+    """``config[key]``, which must be present and of one of ``kinds``."""
     if key not in config:
         raise ConfigError(f"config key {key!r} is required for this command")
-    return config[key]
+    return check(config[key], key, kinds)
 
 
-def _number(value, name: str, minimum=None, kinds=(int,)):
-    """``value`` if it is a JSON number of one of ``kinds`` and at least
-    ``minimum``; any other value (a bool too) is a ConfigError."""
-    if type(value) not in kinds or (minimum is not None and value < minimum):
-        raise ConfigError(f"config key {name!r} must be {'/'.join(k.__name__ for k in kinds)}"
-                          f"{'' if minimum is None else f' >= {minimum}'}, got {value!r}")
-    return value
+def _with_flags(fields: dict, **flags) -> dict:
+    """``fields`` with each command-line flag that was given in place."""
+    return {**fields, **{k: v for k, v in flags.items() if v is not None}}
 
 
-def _profile(name):
-    """The scale profile called ``name``; any other value is a ConfigError."""
-    from .models.profiles import get_profile
-
+def _build(cls, fields: dict, name: str, **flags):
+    """``cls`` built from the JSON object ``fields`` and the given ``flags``.
+    The dataclass checks each value; an unknown key is a ConfigError too."""
     try:
-        return get_profile(name)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+        return cls(**_with_flags(fields, **flags))
+    except TypeError as exc:
+        raise ConfigError(f"bad {name} config: {exc}") from None
 
 
 # -- command implementations ---------------------------------------------------
@@ -178,23 +172,14 @@ def _cmd_synth(cli: CliConfig) -> int:
     from .synthgen import SynthSpec, generate_dataset
 
     cfg = dict(cli.config)
-    split_ratios = cfg.pop("split_ratios", None)
-    split_seed = _number(cfg.pop("split_seed", 0), "split_seed", 0)
-    if split_ratios is not None:
-        if not isinstance(split_ratios, list):
-            raise ConfigError(f"config key 'split_ratios' must be a list, got {split_ratios!r}")
-        split_ratios = tuple(_number(r, "split_ratios", 0, (int, float)) for r in split_ratios)
-    if cli.seed is not None:
-        cfg["seed"] = cli.seed
-    if cli.profile is not None:
-        cfg["profile"] = cli.profile
-    try:
-        spec = SynthSpec(**cfg)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad synth config: {exc}")
+    split_ratios = check(cfg.pop("split_ratios", None), "split_ratios", (list, None))
+    split_seed = check(cfg.pop("split_seed", 0), "split_seed", (int,), lambda v: v >= 0, ">= 0")
+    for r in split_ratios or ():
+        check(r, "split_ratios", NUMBER, lambda v: v >= 0, ">= 0")
+    spec = _build(SynthSpec, cfg, "synth", seed=cli.seed, profile=cli.profile)
     manifest = generate_dataset(spec, cli.out_dir)
     if split_ratios is not None:
-        stratified_split(manifest, split_ratios, split_seed)
+        stratified_split(manifest, tuple(split_ratios), split_seed)
         manifest.save(Path(cli.out_dir) / "manifest.json")
     _write_run_record(cli, {"n_pairs": spec.n_pairs})
     print(f"wrote {spec.n_pairs} pairs to {cli.out_dir}")
@@ -206,9 +191,10 @@ def _cmd_preprocess(cli: CliConfig) -> int:
     import numpy as np
 
     from .datapipe import SampleManifest, write_rimg, write_rvol
+    from .models.profiles import get_profile
     from .trainer import PreprocessCache
 
-    profile = _profile(cli.profile or cli.config.get("profile", "micro"))
+    profile = get_profile(cli.profile or cli.config.get("profile", "micro"))
     manifest = SampleManifest.load(_require(cli.config, "manifest"))
     cache = PreprocessCache(profile)
     out = Path(cli.out_dir)
@@ -235,23 +221,10 @@ def _cmd_preprocess(cli: CliConfig) -> int:
 
 
 def _train_config_from(cli: CliConfig):
-    from .trainer import SchedulerConfig, TrainConfig
+    from .trainer import TrainConfig
 
-    section = _require(cli.config, "trainer")
-    try:
-        section = dict(section)
-        sched = section.pop("scheduler", None)
-        if isinstance(sched, dict):
-            section["scheduler"] = SchedulerConfig(**sched)
-        if cli.seed is not None:
-            section["seed"] = cli.seed
-        if cli.profile is not None:
-            section["profile"] = cli.profile
-        if section.get("warm_start") is not None:
-            section["warm_start"] = tuple(section["warm_start"])
-        return TrainConfig(**section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad trainer config: {exc}")
+    return _build(TrainConfig, _require(cli.config, "trainer", (dict,)), "trainer",
+                  seed=cli.seed, profile=cli.profile)
 
 
 def _epoch_csv(path, record) -> None:
@@ -292,9 +265,10 @@ def _cmd_multirun(cli: CliConfig) -> int:
     from .trainer import multi_run
 
     config = _train_config_from(cli)
-    n_runs = _number(cli.config.get("n_runs", 5), "n_runs", 1)
     manifest = SampleManifest.load(_require(cli.config, "manifest"))
-    result = multi_run(config, manifest, n_runs=n_runs, out_dir=cli.out_dir)
+    run_shape = {"n_runs": cli.config["n_runs"]} if "n_runs" in cli.config else {}
+    result = multi_run(config, manifest, out_dir=cli.out_dir, **run_shape)
+    n_runs = len(result["records"])
     out = Path(cli.out_dir)
     write_json(out / "summary.json", {
         "summary": result["summary"], "metrics": result["metrics"],
@@ -313,19 +287,12 @@ def _cmd_compare(cli: CliConfig) -> int:
     """three-model comparative protocol on a shared paired test set"""
     from .datapipe import SampleManifest
     from .evalstats import METRIC_NAMES, grouped_bar_svg, roc_svg, write_json, write_metrics_csv
-    from .trainer import MODEL_KINDS, comparative_protocol
+    from .trainer import comparative_protocol
 
-    epochs = cli.config.get("epochs") or {}
-    if not isinstance(epochs, dict) or not set(epochs) <= set(MODEL_KINDS):
-        raise ConfigError(f"config key 'epochs' must map {MODEL_KINDS} to ints, got {epochs!r}")
-    run_shape = dict(
-        epochs={k: _number(epochs.get(k, 10), f"epochs.{k}", 1) for k in MODEL_KINDS},
-        base_seed=_number(cli.seed if cli.seed is not None else cli.config.get("base_seed", 0),
-                          "base_seed", 0),
-        n_runs=_number(cli.config.get("n_runs", 5), "n_runs", 1),
-        batch_size=_number(cli.config.get("batch_size", 8), "batch_size", 1),
-        profile=_profile(cli.profile or cli.config.get("profile", "micro")).name)
-    manifests = _require(cli.config, "manifests")
+    keys = ("epochs", "base_seed", "n_runs", "batch_size", "profile")
+    run_shape = _with_flags({k: cli.config[k] for k in keys if k in cli.config},
+                            base_seed=cli.seed, profile=cli.profile)
+    manifests = _require(cli.config, "manifests", (dict,))
     mri = SampleManifest.load(_require(manifests, "mri"))
     us = SampleManifest.load(_require(manifests, "us"))
     paired = SampleManifest.load(_require(manifests, "paired"))
@@ -359,7 +326,7 @@ def _checkpoint_split(cli: CliConfig):
     manifest split, that split's items for the kind and a ``PreprocessCache``
     at the resolved profile."""
     from .datapipe import SampleManifest
-    from .models import build_model
+    from .models import build_model, get_profile
     from .ndcore import ContainerError
     from .trainer import MODEL_KINDS, PreprocessCache, items_for, load_checkpoint
 
@@ -369,7 +336,7 @@ def _checkpoint_split(cli: CliConfig):
     if kind not in MODEL_KINDS:
         raise ConfigError(f"checkpoint sidecar lacks a valid model kind: {kind!r}")
     try:
-        profile = _profile(cli.profile or sidecar.get("profile", "micro"))
+        profile = get_profile(cli.profile or sidecar.get("profile", "micro"))
         seed = int(sidecar.get("seed", 0))
     except (TypeError, ValueError) as exc:     # a ConfigError too
         raise ContainerError(f"{path}: bad checkpoint sidecar: {exc}") from None
@@ -377,7 +344,7 @@ def _checkpoint_split(cli: CliConfig):
     model.load_state_arrays(state)
     model.eval()
     manifest = SampleManifest.load(_require(cli.config, "manifest"))
-    split = cli.config.get("split", "test")
+    split = check(cli.config.get("split", "test"), "split", (str,))
     return model, kind, split, items_for(manifest, kind, split), PreprocessCache(profile)
 
 
@@ -407,9 +374,11 @@ def _cmd_explain(cli: CliConfig) -> int:
     from .gradcam import gradcam, render_overlay
 
     model, kind, split, items, cache = _checkpoint_split(cli)
-    class_index = _number(cli.config.get("class_index", 1), "class_index")
-    limit = _number(cli.config.get("max_samples", 4), "max_samples", 0)
-    wanted = cli.config.get("patients")
+    class_index = check(cli.config.get("class_index", 1), "class_index", (int,))
+    limit = check(cli.config.get("max_samples", 4), "max_samples", (int,), lambda v: v >= 0,
+                  ">= 0")
+    wanted = check(cli.config.get("patients"), "patients", (list, None),
+                   lambda v: all(type(p) is str for p in v), "of patient ids")
     if wanted:
         items = [it for it in items if it.patient_id in set(wanted)]
     items = items[:limit]
@@ -450,7 +419,8 @@ def _cmd_stats(cli: CliConfig) -> int:
             for runs in metrics.values())):
         raise error("metrics must map each model to a list of runs, each an object "
                     f"of numbers for {', '.join(METRIC_NAMES)}")
-    alpha = float(_number(cli.config.get("alpha", 0.05), "alpha", kinds=(int, float)))
+    alpha = float(check(cli.config.get("alpha", 0.05), "alpha", NUMBER, lambda v: 0 < v < 1,
+                        "in (0, 1)"))
     result = compare_models(metrics, alpha=alpha)
     out = Path(cli.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -490,7 +460,6 @@ def main(argv=None) -> int:
 
     from .datapipe import ManifestError, NiftiError, PreprocessError, RawFormatError
     from .evalstats import MetricsError, StatsError
-    from .gradcam import GradCamError
     from .ndcore import ContainerError
     from .trainer import DataError, NumericError, WorkerError
 
@@ -504,7 +473,7 @@ def main(argv=None) -> int:
     except WorkerError as exc:
         print(f"worker error: {exc}", file=sys.stderr)
         return EXIT_WORKER
-    except (ConfigError, GradCamError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ManifestError, NiftiError, RawFormatError, PreprocessError,

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import ndcore as ndc
+from ..config import ConfigError
 from ..datapipe.preprocess import linear_taps, resample
 
 
-class GradCamError(ValueError):
-    pass
+class GradCamError(ConfigError):
+    """A Grad-CAM request that the model cannot serve; the CLI exits 2."""
 
 
 @dataclass

@@ -152,7 +152,6 @@ class Conv(Module):
         super().__init__()
         self.stride = stride
         self.padding = padding
-        self.dims = dims
         self.fan_in = in_ch * k ** dims
         self.weight = Parameter(np.zeros((out_ch, in_ch) + (k,) * dims, np.float32))
         self.bias = Parameter(np.zeros(out_ch, np.float32)) if bias else None
@@ -163,8 +162,7 @@ class Conv(Module):
             self.bias.data = np.zeros(self.bias.shape, np.float32)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ndc.conv(x, self.weight, self.bias,
-                        stride=self.stride, padding=self.padding, dims=self.dims)
+        return ndc.conv(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
 class BatchNorm(Module):

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..config import check
+
 
 @dataclass(frozen=True)
 class ScaleProfile:
@@ -86,7 +88,5 @@ _PROFILES = {"paper": PAPER, "micro": MICRO}
 
 
 def get_profile(name: str) -> ScaleProfile:
-    try:
-        return _PROFILES[name]
-    except KeyError:
-        raise ValueError(f"unknown profile {name!r}; choose from {sorted(_PROFILES)}") from None
+    return _PROFILES[check(name, "profile", (str,), _PROFILES.__contains__,
+                           f"in {sorted(_PROFILES)}")]

@@ -278,21 +278,14 @@ def _conv_input_grad(g: np.ndarray, w: np.ndarray, x_shape, stride: int,
     return gx
 
 
-def _check_spatial_input(x: Tensor, dims: int, opname: str):
-    if x.ndim != dims + 2:
-        raise ShapeError(
-            f"{opname} expects (batch, channels, {dims} spatial axes); "
-            f"got rank {x.ndim}")
-
-
 def conv(x: Tensor, weight: Parameter, bias: Optional[Parameter],
-         stride: int = 1, padding: int = 0, dims: Optional[int] = None) -> Tensor:
-    """N-d cross-correlation with stride/zero-padding, channels-first layout."""
-    if dims is None:
-        dims = weight.ndim - 2
-    _check_spatial_input(x, dims, "conv")
-    if weight.ndim != dims + 2:
-        raise ShapeError(f"conv weight rank {weight.ndim} does not match dims={dims}")
+         stride: int = 1, padding: int = 0) -> Tensor:
+    """N-d cross-correlation with stride/zero-padding, channels-first layout;
+    the weight's rank sets the number of spatial axes."""
+    dims = weight.ndim - 2
+    if x.ndim != weight.ndim:
+        raise ShapeError(f"conv expects (batch, channels, {dims} spatial axes) for a "
+                         f"rank-{weight.ndim} weight; got rank {x.ndim}")
     if stride < 1 or padding < 0:
         raise ShapeError("conv requires stride >= 1 and padding >= 0")
     out_ch, in_ch = weight.shape[:2]
@@ -337,12 +330,10 @@ def conv(x: Tensor, weight: Parameter, bias: Optional[Parameter],
     return record(out, inputs, backward_fn)
 
 
-def maxpool(x: Tensor, k: int, stride: int, padding: int = 0,
-            dims: Optional[int] = None) -> Tensor:
-    """Windowed maximum; backward routes to the first argmax in row-major order."""
-    if dims is None:
-        dims = x.ndim - 2
-    _check_spatial_input(x, dims, "maxpool")
+def maxpool(x: Tensor, k: int, stride: int, padding: int = 0) -> Tensor:
+    """Windowed maximum over every axis after the channels; backward routes to
+    the first argmax in row-major order."""
+    dims = x.ndim - 2
     if k < 1 or stride < 1:
         raise ShapeError("maxpool requires k >= 1 and stride >= 1")
     for ax, ext in enumerate(x.shape[2:]):
@@ -383,16 +374,13 @@ def maxpool(x: Tensor, k: int, stride: int, padding: int = 0,
     return record(out, (x,), backward_fn)
 
 
-def avgpool(x: Tensor, k: int, stride: int, dims: Optional[int] = None) -> Tensor:
-    """Windowed mean with divisor k^dims.
+def avgpool(x: Tensor, k: int, stride: int) -> Tensor:
+    """Windowed mean over every axis after the channels, divisor k^dims.
 
     Axes shorter than ``k`` clamp the window to the full extent (divisor uses
     the actual window size), so degenerate extent-1 axes pass through instead
     of erroring; full windows behave exactly as the strict definition.
     """
-    if dims is None:
-        dims = x.ndim - 2
-    _check_spatial_input(x, dims, "avgpool")
     if k < 1 or stride < 1:
         raise ShapeError("avgpool requires k >= 1 and stride >= 1")
     ksizes = tuple(min(k, ext) for ext in x.shape[2:])
@@ -404,14 +392,11 @@ def avgpool(x: Tensor, k: int, stride: int, dims: Optional[int] = None) -> Tenso
     out = Tensor(flat.mean(axis=3).reshape((b, c) + tuple(outs)))
 
     def backward_fn(g):
-        dcol = np.broadcast_to(
-            (g.reshape(b, c, 1, n_out) / divisor), (b, c, divisor, n_out)).copy()
-        dcol = dcol.reshape((b, c) + ksizes + outs)
+        share = g / divisor
         dx = np.zeros_like(x.data)
         for kidx in np.ndindex(*ksizes):
-            sl = tuple(slice(kidx[i], kidx[i] + stride * outs[i], stride)
-                       for i in range(dims))
-            dx[(slice(None), slice(None)) + sl] += dcol[(slice(None), slice(None)) + kidx]
+            dx[(slice(None), slice(None)) + tuple(
+                slice(i, i + stride * o, stride) for i, o in zip(kidx, outs))] += share
         return (dx,)
 
     return record(out, (x,), backward_fn)
@@ -552,9 +537,8 @@ def gelu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     # split on sign to keep exp() bounded
-    y = np.where(x.data >= 0,
-                 1.0 / (1.0 + np.exp(-np.abs(x.data))),
-                 np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
+    e = np.exp(-np.abs(x.data))
+    y = np.where(x.data >= 0, 1.0, e) / (1.0 + e)
     out = Tensor(y.astype(x.dtype))
     return record(out, (x,), lambda g: (g * out.data * (1.0 - out.data),))
 

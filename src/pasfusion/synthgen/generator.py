@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..atomic import write_atomic
+from ..config import NUMBER, check
 from ..datapipe import Pairing, Sample, SampleManifest, write_rimg, write_rvol
 from ..datapipe.preprocess import _resample_axis, linear_taps
 from ..models.profiles import ScaleProfile, get_profile
@@ -41,16 +42,14 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, minimum in (("n_pairs", 0), ("seed", 0)):    # 0 pairs: an empty dataset
-            if type(value := getattr(self, name)) is not int or value < minimum:
-                raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+        for name, least in (("n_pairs", 0), ("seed", 0)):    # 0 pairs: an empty dataset
+            check(getattr(self, name), name, (int,), lambda v: v >= least, f">= {least}")
+        check(self.positive_fraction, "positive_fraction", NUMBER, lambda v: 0 < v < 1, "in (0, 1)")
         get_profile(self.profile)
-        if not 0.0 < self.positive_fraction < 1.0:
-            raise ValueError("positive_fraction must lie in (0, 1)")
-        if self.signal_strength <= 0:
-            raise ValueError("signal_strength must be positive")
-        if self.mode not in ("redundant", "complementary"):
-            raise ValueError(f"mode must be redundant|complementary, got {self.mode!r}")
+        modes = ("redundant", "complementary")
+        check(self.mode, "mode", (str,), modes.__contains__, f"in {modes}")
+        check(self.signal_strength, "signal_strength", NUMBER, lambda v: v > 0, "> 0")
+        check(self.noise_sigma, "noise_sigma", NUMBER, lambda v: v >= 0, ">= 0")
 
     @property
     def scale(self) -> ScaleProfile:

@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .. import ndcore as ndc
+from ..config import NUMBER, check
 from ..datapipe import SampleManifest, class_weights
 from ..evalstats import report_from_scores
 from ..models import build_model
@@ -62,14 +63,25 @@ class TrainConfig:
     warm_start: Optional[tuple] = None       # (mri checkpoint, us checkpoint) paths
 
     def __post_init__(self):
-        if self.model not in MODEL_KINDS:
-            raise ValueError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
-        for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            if type(value := getattr(self, name)) is not int or value < minimum:
-                raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
-        if type(self.lr) not in (int, float) or not self.lr > 0:
-            raise ValueError(f"lr must be a number > 0, got {self.lr!r}")
+        """Check every field; ``None`` leaves a value to ``resolved``. A JSON
+        ``scheduler`` object becomes a ``SchedulerConfig``, a ``warm_start``
+        list a tuple."""
+        check(self.model, "model", (str,), MODEL_KINDS.__contains__, f"in {MODEL_KINDS}")
         get_profile(self.profile)
+        check(self.lr, "lr", NUMBER, lambda v: v > 0, "> 0")
+        for name, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+            check(getattr(self, name), name, (int,), lambda v: v >= least, f">= {least}")
+        for name in ("label_smoothing", "dropout"):
+            check(getattr(self, name), name, NUMBER + (None,), lambda v: 0 <= v < 1, "in [0, 1)")
+        if type(self.scheduler) is dict:
+            self.scheduler = SchedulerConfig(**self.scheduler)
+        check(self.scheduler, "scheduler", (SchedulerConfig, None))
+        for name in ("use_scheduler", "augment", "oversample", "weighted_loss"):
+            check(getattr(self, name), name, (bool, None))
+        paths = (list, tuple, None)
+        if check(self.warm_start, "warm_start", paths, lambda w: len(w) == 2 and all(
+                isinstance(p, (str, Path)) for p in w), "of 2 checkpoint paths") is not None:
+            self.warm_start = tuple(self.warm_start)
 
     def resolved(self) -> "TrainConfig":
         """Fill model-specific defaults: CE for unimodal (smoothing 0.1 and
@@ -357,8 +369,7 @@ def multi_run(config: TrainConfig, manifest: SampleManifest, n_runs: int = 5,
               out_dir: Optional[str] = None,
               cache: Optional[PreprocessCache] = None) -> dict:
     """Repeat training with seeds base+i; aggregate per-metric mean and std."""
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+    check(n_runs, "n_runs", (int,), lambda v: v >= 1, ">= 1")
     cache = cache or PreprocessCache(get_profile(config.profile))
     run_seed = partial(_multi_run_seed, config=config, manifest=manifest,
                        out_dir=out_dir, cache=cache)
@@ -369,18 +380,15 @@ def multi_run(config: TrainConfig, manifest: SampleManifest, n_runs: int = 5,
             "summary": summarize_runs(metrics)}
 
 
-def _compare_seed(seed: int, manifests: dict, test_items: dict, profile: str,
-                  epochs: dict, batch_size: int, out_dir: Optional[str],
-                  cache: PreprocessCache) -> list[RunRecord]:
-    """One comparative run: MRI, US, then fusion warm-started from this
-    run's MRI and US weights. -> their records, in ``MODEL_KINDS`` order."""
+def _compare_seed(seed: int, configs: dict, manifests: dict, test_items: dict,
+                  out_dir: Optional[str], cache: PreprocessCache) -> list[RunRecord]:
+    """One comparative run at ``seed``: MRI, US, then fusion warm-started from
+    this run's MRI and US weights. -> their records, in ``MODEL_KINDS`` order."""
     states, records = {}, []
     for kind in MODEL_KINDS:
-        cfg = TrainConfig(model=kind, profile=profile, seed=seed,
-                          batch_size=batch_size, epochs=epochs.get(kind, 10))
         warm = (states["mri"], states["us"]) if kind == "fusion" else None
-        record, model = train(cfg, manifests[kind], out_dir=out_dir,
-                              cache=cache, warm_states=warm,
+        record, model = train(replace(configs[kind], seed=seed), manifests[kind],
+                              out_dir=out_dir, cache=cache, warm_states=warm,
                               test_items=test_items[kind])
         if kind != "fusion":
             states[kind] = snapshot_state(model)
@@ -398,17 +406,23 @@ def comparative_protocol(mri_manifest: SampleManifest, us_manifest: SampleManife
     identical paired test split.  Repeated ``n_runs`` times with shifted seeds."""
     from ..evalstats import compare_models
 
+    # every value is checked here, before a worker forks
+    check(n_runs, "n_runs", (int,), lambda v: v >= 1, ">= 1")
+    epochs = check(epochs, "epochs", (dict, None), lambda e: set(e) <= set(MODEL_KINDS),
+                   f"keyed by {MODEL_KINDS}") or {}
+    configs = {kind: TrainConfig(model=kind, profile=profile, seed=base_seed,
+                                 batch_size=batch_size, epochs=epochs.get(kind, 10))
+               for kind in MODEL_KINDS}
     test_pairs = items_from_pairs(paired_manifest, "test")
     if not test_pairs:
         raise DataError("paired manifest has no test pairs")
     run_seed = partial(
-        _compare_seed,
+        _compare_seed, configs=configs,
         manifests={"mri": mri_manifest, "us": us_manifest,
                    "fusion": paired_manifest},
         test_items={"mri": [replace(it, us_uri=None) for it in test_pairs],
                     "us": [replace(it, mri_uri=None) for it in test_pairs],
                     "fusion": test_pairs},
-        profile=profile, epochs=epochs or {}, batch_size=batch_size,
         out_dir=out_dir, cache=PreprocessCache(get_profile(profile)))
     runs = _gather(run_seed, [base_seed + i for i in range(n_runs)], profile)
 

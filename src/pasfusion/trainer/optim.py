@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import NUMBER, check
 from ..ndcore import Parameter
 
 
@@ -66,14 +67,18 @@ class SchedulerConfig:
     min_lr: float = 1e-7
     threshold: float = 1e-4
 
+    def __post_init__(self):
+        check(self.factor, "scheduler.factor", NUMBER, lambda v: 0 < v < 1, "in (0, 1)")
+        check(self.patience, "scheduler.patience", (int,), lambda v: v >= 0, ">= 0")
+        for name in ("min_lr", "threshold"):
+            check(getattr(self, name), f"scheduler.{name}", NUMBER, lambda v: v >= 0, ">= 0")
+
 
 class PlateauScheduler:
     """Multiply the LR by ``factor`` after ``patience`` consecutive epochs
     without a validation-loss improvement greater than ``threshold``."""
 
     def __init__(self, optimizer: Adam, config: SchedulerConfig = SchedulerConfig()):
-        if not 0.0 < config.factor < 1.0:
-            raise ValueError("scheduler factor must lie in (0, 1)")
         self.opt = optimizer
         self.config = config
         self.best = np.inf

@@ -92,11 +92,22 @@ def _malformed_cases(manifest, checkpoint, metrics_file) -> dict:
     runs = [dict(accuracy=a, auc=a, precision=a, recall=a, f1=a) for a in (0.5, 0.6)]
     bad_shape = {"a": [{"accuracy": 1}], "b": 3}
     synth = {"n_pairs": 4, "positive_fraction": 0.5}
+
+    def trainer(**fields):
+        return ("train", {"trainer": {"model": "us", "epochs": 1, **fields},
+                          "manifest": manifest}, EXIT_CONFIG, None)
+
     return {
         "synth-positive_fraction": ("synth", {**synth, "positive_fraction": 2}, EXIT_CONFIG, None),
         "synth-n_pairs": ("synth", {**synth, "n_pairs": "x"}, EXIT_CONFIG, None),
         "synth-seed": ("synth", {**synth, "seed": -1}, EXIT_CONFIG, None),
         "synth-profile": ("synth", {**synth, "profile": "nope"}, EXIT_CONFIG, None),
+        "synth-noise_sigma": ("synth", {**synth, "noise_sigma": "x"}, EXIT_CONFIG, None),
+        "synth-noise_sigma-negative": ("synth", {**synth, "noise_sigma": -1}, EXIT_CONFIG, None),
+        "synth-noise_sigma-infinite": ("synth", {**synth, "noise_sigma": float("inf")},
+                                       EXIT_CONFIG, None),
+        "synth-signal_strength": ("synth", {**synth, "signal_strength": True}, EXIT_CONFIG,
+                                  None),
         "synth-split_ratios": ("synth", {**synth, "split_ratios": 5}, EXIT_CONFIG, None),
         "synth-split_seed": ("synth", {**synth, "split_ratios": [0.5, 0.25, 0.25],
                                        "split_seed": "x"}, EXIT_CONFIG, None),
@@ -108,12 +119,21 @@ def _malformed_cases(manifest, checkpoint, metrics_file) -> dict:
                                    "manifest": manifest}, EXIT_CONFIG, None),
         "trainer-profile": ("train", {"trainer": {"model": "us", "profile": "nope"},
                                       "manifest": manifest}, EXIT_CONFIG, None),
+        "trainer-label_smoothing": trainer(label_smoothing="x"),
+        "trainer-dropout": trainer(dropout=1.5),
+        "trainer-augment": trainer(augment="no"),
+        "trainer-scheduler-factor": trainer(scheduler={"factor": "x"}),
+        "trainer-scheduler-patience": trainer(scheduler={"patience": "x"}),
+        "trainer-warm_start-one": trainer(model="fusion", warm_start=["a.ckpt"]),
         "compare-profile": ("compare", {**protocol, "profile": "nope"}, EXIT_CONFIG, None),
         "trainer-scheduler": ("train", {"trainer": {"model": "us", "scheduler": {"bogus": 1}},
                                         "manifest": manifest}, EXIT_CONFIG, None),
         "trainer-list": ("train", {"trainer": [1, 2], "manifest": manifest}, EXIT_CONFIG, None),
         "trainer-warm_start": ("train", {"trainer": {"model": "fusion", "warm_start": 5},
                                          "manifest": manifest}, EXIT_CONFIG, None),
+        "compare-manifests": ("compare", {**protocol, "manifests": 5}, EXIT_CONFIG, None),
+        "train-manifest": ("train", {"trainer": {"model": "us"}, "manifest": 5}, EXIT_CONFIG,
+                           None),
         "compare-n_runs": ("compare", {**protocol, "n_runs": "two"}, EXIT_CONFIG, None),
         "compare-batch_size": ("compare", {**protocol, "batch_size": "eight"}, EXIT_CONFIG, None),
         "compare-base_seed": ("compare", {**protocol, "base_seed": None}, EXIT_CONFIG, None),
@@ -123,9 +143,12 @@ def _malformed_cases(manifest, checkpoint, metrics_file) -> dict:
         "multirun-n_runs": ("multirun", {"trainer": {"model": "us"}, "manifest": manifest,
                                          "n_runs": "x"}, EXIT_CONFIG, None),
         "explain-class_index": ("explain", {**explain, "class_index": "one"}, EXIT_CONFIG, None),
+        "explain-patients": ("explain", {**explain, "patients": 5}, EXIT_CONFIG, None),
         "explain-max_samples": ("explain", {**explain, "max_samples": [1]}, EXIT_CONFIG, None),
         "stats-alpha": ("stats", {"metrics": {"a": runs, "b": runs}, "alpha": "x"},
                         EXIT_CONFIG, None),
+        "stats-alpha-range": ("stats", {"metrics": {"a": runs, "b": runs}, "alpha": 5},
+                              EXIT_CONFIG, None),
         "stats-metrics": ("stats", {"metrics": bad_shape}, EXIT_CONFIG, None),
         "stats-metrics_file": ("stats", {"metrics_file": metrics_file}, EXIT_DATA,
                                json.dumps(bad_shape)),
@@ -159,6 +182,18 @@ class TestExitCodes:
             code = main(["train", "--config", str(cfg), "--out",
                          str(tmp_path / "o")])
         assert code == EXIT_NUMERIC
+
+    def test_compare_config_error_precedes_training(self, dataset_dir, tmp_path, monkeypatch):
+        def no_train(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(loop, "train", no_train)
+        manifest = str(dataset_dir / "data" / "manifest.json")
+        command, config, code, _ = _malformed_cases(manifest, "c", "f")["compare-epochs-kind"]
+        assert config["epochs"] == {"mri": "x"}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
 
     def test_explain_bad_class_index_is_config_error(self, dataset_dir, tmp_path):
         from pasfusion.models import build_model
