@@ -3,16 +3,29 @@ normalizations, activations, attention, dropout and classification losses.
 
 Every function builds its result with numpy, then registers a backward
 closure on the active tape via ``record``.  Convolution keeps the
-channels-first API, (B, C, *sp) tensors and (out, in, *k) weights, but works
-on channels-last columns inside.  No window expansion is built whole:
-``_row_blocks`` cuts the output axes of a strided window view (``_windows``)
-into blocks of at most ``_BLOCK_ROWS`` rows, and copies and multiplies (or
-reduces) one block at a time into a preallocated output.  It serves conv's
-forward, each stride phase of the transposed-convolution input gradient
-(``_conv_input_grad``) and maxpool's forward.  A conv keeps its column blocks
-only while a tape records and its weight requires a gradient, whose GEMM
-``sum(g_block.T @ col_block)`` is their one reader.  Eval-mode batchnorm is
-one per-channel affine.
+channels-first API, (B, C, *sp) tensors and (out, in, *k) weights, and has
+two algorithms, chosen on each call from the operand shapes through
+``_TAP_MIN_WORK``: every 1x1 conv, and a larger one whose output rows times
+input channels reach 2^20, takes the tap path; the rest take the columns.
+
+* The tap path (``_tap_conv``) accumulates one GEMM per kernel tap over the
+  flattened stride phases of the zero-padded channels-first input, copied
+  once (an unpadded stride-1 input is not copied), and crops the valid
+  outputs.  Its backward is per tap as well, and it keeps the phases, not
+  columns, for the weight gradient.
+* The columns path (``_column_conv``) works on channels-last columns.  No
+  window expansion is built whole: ``_row_blocks`` cuts the output axes of a
+  strided window view (``_windows``) into blocks of at most ``_BLOCK_ROWS``
+  rows, and copies and multiplies (or reduces) one block at a time into a
+  preallocated output.  It serves this forward, each stride phase of the
+  transposed-convolution input gradient (``_conv_input_grad``) and maxpool's
+  argmax.  The column blocks are kept only while a tape records and the
+  weight requires a gradient, whose GEMM ``sum(g_block.T @ col_block)`` is
+  their one reader.
+
+``maxpool``'s forward is a running maximum over its k^d tap views; it finds
+the argmax only for a backward that will read it.  Eval-mode batchnorm is one
+per-channel affine.
 """
 from __future__ import annotations
 
@@ -278,6 +291,153 @@ def _conv_input_grad(g: np.ndarray, w: np.ndarray, x_shape, stride: int,
     return gx
 
 
+def _column_conv(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: int,
+                 padding: int, keep: bool):
+    """Row-blocked channels-last column GEMMs, ``col @ W'`` per block of
+    windows.  The column blocks are kept only when ``keep``: the weight
+    gradient is their one reader.  Returns the channels-first output and
+    ``grads(g, need_x) -> (gx, gw)``."""
+    dims = w.ndim - 2
+    out_ch, in_ch, k = w.shape[:3]
+    view, outs = _windows(_channels_last(x, ((padding, padding),) * dims),
+                          (k,) * dims, stride, first=1)
+    # (out, *k, in) rows, matching the columns' (*tap, c) order
+    w2 = w.transpose(_to_last(dims + 2)).reshape(out_ch, -1)
+    y = np.empty((x.shape[0],) + outs + (out_ch,), np.result_type(x, w2))
+    cols = [] if keep else None
+    _row_blocks(view, dims + 1, lambda col, dst: np.matmul(col, w2.T, out=dst), (y,), cols)
+    if b is not None:
+        y += b
+
+    def grads(g, need_x):
+        gw = None
+        if cols is not None:
+            gl = g.transpose(_to_last(g.ndim))
+            gw = sum(gl[index].reshape(-1, out_ch).T @ col for index, col in cols)
+            gw = gw.reshape((out_ch,) + (k,) * dims + (in_ch,))
+            gw = np.ascontiguousarray(gw.transpose(_to_first(gw.ndim)))
+        gx = _conv_input_grad(g, w, x.shape, stride, padding) if need_x else None
+        return gx, gw
+
+    return y.transpose(_to_first(dims + 2)), grads
+
+
+def _phase_slices(sp, grid, k: int, stride: int, padding: int) -> list:
+    """Per stride phase ``r`` that some tap reads (``r < k`` on every axis), in
+    row-major order: the slices of its grid and of the input that it holds.
+    Grid index ``j`` of phase ``r`` is padded position ``r + stride*j``, that
+    is input position ``r + stride*j - padding``; the rest of a grid is zero."""
+    axes = []
+    for n, q in zip(sp, grid):
+        per_phase = []
+        for r in range(min(k, stride)):
+            lo = max(0, -((r - padding) // stride))
+            start = r + stride * lo - padding
+            count = max(0, min(q - lo, -((start - n) // stride)))
+            per_phase.append((slice(lo, lo + count),
+                              slice(start, start + stride * count, stride)))
+        axes.append(per_phase)
+    return [tuple(zip(*phase)) for phase in itertools.product(*axes)]
+
+
+def _accumulate(terms) -> None:
+    """``dst += a @ b`` for each ``(key, dst, a, b)``.  The first product of a
+    key is written into its ``dst`` directly, so the views of one key must lie
+    in one zeroed array (or be one view, which may start unset)."""
+    tmp, seen = None, set()
+    for key, dst, a, b in terms:
+        if key not in seen:
+            seen.add(key)
+            np.matmul(a, b, out=dst)
+            continue
+        if tmp is None:
+            tmp = np.empty(dst.shape, dst.dtype)
+        np.matmul(a, b, out=tmp)
+        dst += tmp
+
+
+def _tap_conv(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: int,
+              padding: int, keep: bool):
+    """Accumulating per-tap GEMMs over stride-phase grids, channels-first.
+
+    Output ``o`` reads padded position ``o*stride + t`` at kernel offset
+    ``t``: index ``o + t//stride`` of stride phase ``t % stride``.  The padded
+    input is copied once into its phases, (B, C, *grid) arrays with
+    ``grid = outs + (k-1)//stride``, flattened over the grid; an unpadded
+    stride-1 input is its own one phase.  Tap ``t`` adds
+    ``W[:, :, t] @ phase[:, :, off_t : off_t + n]`` into a flat output grid,
+    where ``off_t`` is the flat index of ``t//stride`` and ``n`` reaches the
+    last valid output, which are then cropped.  So a 1x1 stride-1 conv is one
+    GEMM on ``x`` itself.  The backward is per tap too: ``gW_t = g_grid @
+    phase_sliceᵀ`` reads the phases, kept only when ``keep``, and
+    ``g_phase[:, :, off_t : off_t + n] += W_tᵀ @ g_grid``.  Returns the output
+    and ``grads(g, need_x) -> (gx, gw)``."""
+    bsz, in_ch = x.shape[:2]
+    out_ch, k, sp = w.shape[0], w.shape[2], x.shape[2:]
+    dims = len(sp)
+    outs = tuple((e + 2 * padding - k) // stride + 1 for e in sp)
+    grid = tuple(o + (k - 1) // stride for o in outs)
+    size = math.prod(grid)
+    steps = [math.prod(grid[i + 1:]) for i in range(dims)]
+    n = sum((o - 1) * s for o, s in zip(outs, steps)) + 1
+    # per tap, in (*k) order: its phase and the flat offset of its grid shift
+    taps = [(np.ravel_multi_index(tuple(t % stride for t in tap), (min(k, stride),) * dims),
+             sum(t // stride * s for t, s in zip(tap, steps)))
+            for tap in np.ndindex(*(k,) * dims)]
+    whole = (slice(None),) * 2
+    crop = whole + tuple(slice(o) for o in outs)
+    slices = _phase_slices(sp, grid, k, stride, padding)
+    if stride == 1 and padding == 0:
+        phases = np.ascontiguousarray(x).reshape(1, bsz, in_ch, size)
+    else:
+        phases = np.zeros((len(slices), bsz, in_ch) + grid, x.dtype)
+        for p, (gs, xs) in enumerate(slices):
+            phases[(p,) + whole + gs] = x[whole + xs]
+        phases = phases.reshape(len(slices), bsz, in_ch, size)
+    # (tap, out, in): one contiguous (out, in) matrix per tap
+    wt = np.ascontiguousarray(w.reshape(out_ch, in_ch, -1).transpose(2, 0, 1))
+
+    flat = np.empty((bsz, out_ch, size), np.result_type(x, w))
+    _accumulate((0, flat[:, :, :n], wt[i], phases[p, :, :, off:off + n])
+                for i, (p, off) in enumerate(taps))
+    y = flat.reshape((bsz, out_ch) + grid)[crop]
+    if b is not None:
+        y = np.add(y, b.reshape((-1,) + (1,) * dims), out=y if grid == outs else None)
+    if not keep:
+        phases = None
+
+    def grads(g, need_x):
+        if grid == outs:
+            gg = g.reshape(bsz, out_ch, size)
+        else:
+            gg = np.zeros((bsz, out_ch) + grid, g.dtype)
+            gg[crop] = g
+            gg = gg.reshape(bsz, out_ch, size)[:, :, :n]
+        gw = gx = None
+        if phases is not None:
+            gw = np.stack([np.matmul(gg, phases[p, :, :, off:off + n].swapaxes(1, 2)).sum(0)
+                           for p, off in taps], axis=-1).reshape(w.shape)
+        if need_x:
+            gp = np.zeros((len(slices), bsz, in_ch, size), np.result_type(g, w))
+            # taps in reverse, so each input position sums its outputs in order
+            _accumulate((p, gp[p, :, :, off:off + n], wt[i].T, gg)
+                        for i, (p, off) in reversed(list(enumerate(taps))))
+            if stride == 1 and padding == 0:
+                return gp.reshape(x.shape), gw
+            gp = gp.reshape((len(slices), bsz, in_ch) + grid)
+            gx = np.zeros(x.shape, gp.dtype)
+            for p, (gs, xs) in enumerate(slices):
+                gx[whole + xs] = gp[(p,) + whole + gs]
+        return gx, gw
+
+    return y, grads
+
+
+# per-tap work (output rows x input channels) from which ``conv`` takes the
+# tap path, for a 1x1 kernel and for a larger one; below it, the columns
+_TAP_MIN_WORK = (0, 1 << 20)
+
+
 def conv(x: Tensor, weight: Parameter, bias: Optional[Parameter],
          stride: int = 1, padding: int = 0) -> Tensor:
     """N-d cross-correlation with stride/zero-padding, channels-first layout;
@@ -288,8 +448,7 @@ def conv(x: Tensor, weight: Parameter, bias: Optional[Parameter],
                          f"rank-{weight.ndim} weight; got rank {x.ndim}")
     if stride < 1 or padding < 0:
         raise ShapeError("conv requires stride >= 1 and padding >= 0")
-    out_ch, in_ch = weight.shape[:2]
-    k = weight.shape[2]
+    in_ch, k = weight.shape[1:3]
     if any(e != k for e in weight.shape[2:]):
         raise ShapeError(f"conv kernel must be cubic, got {weight.shape[2:]}")
     if x.shape[1] != in_ch:
@@ -301,30 +460,18 @@ def conv(x: Tensor, weight: Parameter, bias: Optional[Parameter],
                 f"conv produces non-positive extent on spatial axis {ax} "
                 f"(input {ext}, kernel {k}, stride {stride}, padding {padding})")
 
-    view, outs = _windows(_channels_last(x.data, ((padding, padding),) * dims),
-                          (k,) * dims, stride, first=1)
-    # (out, *k, in) rows, matching the columns' (*tap, c) order
-    w2 = weight.data.transpose(_to_last(dims + 2)).reshape(out_ch, -1)
-    y = np.empty((x.shape[0],) + outs + (out_ch,), np.result_type(x.data, w2))
-    # the column blocks, kept only for the weight gradient, their one reader
-    cols = [] if weight.requires_grad and active_tape() is not None else None
-    _row_blocks(view, dims + 1, lambda col, dst: np.matmul(col, w2.T, out=dst), (y,), cols)
-    if bias is not None:
-        y += bias.data
-    out = Tensor(y.transpose(_to_first(dims + 2)))
+    rows = x.shape[0] * math.prod((e + 2 * padding - k) // stride + 1 for e in x.shape[2:])
+    path = _tap_conv if rows * in_ch >= _TAP_MIN_WORK[k > 1] else _column_conv
+    y, grads = path(x.data, weight.data, None if bias is None else bias.data, stride,
+                    padding, weight.requires_grad and active_tape() is not None)
+    out = Tensor(y)
 
     def backward_fn(g):
-        gx = gw = gb = None
-        if bias is not None and bias.requires_grad:
-            gb = g.sum(axis=(0,) + tuple(range(2, g.ndim)))
-        if cols is not None:
-            gl = g.transpose(_to_last(g.ndim))
-            gw = sum(gl[index].reshape(-1, out_ch).T @ col for index, col in cols)
-            gw = gw.reshape((out_ch,) + (k,) * dims + (in_ch,))
-            gw = np.ascontiguousarray(gw.transpose(_to_first(gw.ndim)))
-        if x.requires_grad:
-            gx = _conv_input_grad(g, weight.data, x.shape, stride, padding)
-        return (gx, gw, gb) if bias is not None else (gx, gw)
+        gx, gw = grads(g, x.requires_grad)
+        if bias is None:
+            return gx, gw
+        gb = g.sum(axis=(0,) + tuple(range(2, g.ndim))) if bias.requires_grad else None
+        return gx, gw, gb
 
     inputs = (x, weight, bias) if bias is not None else (x, weight)
     return record(out, inputs, backward_fn)
@@ -332,7 +479,13 @@ def conv(x: Tensor, weight: Parameter, bias: Optional[Parameter],
 
 def maxpool(x: Tensor, k: int, stride: int, padding: int = 0) -> Tensor:
     """Windowed maximum over every axis after the channels; backward routes to
-    the first argmax in row-major order."""
+    the first argmax in row-major order.
+
+    The forward is a running ``np.maximum`` over the k^d strided tap views; a
+    tie keeps the earlier tap, so it equals the first maximum bitwise.  Only
+    when a tape records and ``x`` requires a gradient are the windows copied,
+    by row blocks, to find the argmax indices that the backward reads.
+    """
     dims = x.ndim - 2
     if k < 1 or stride < 1:
         raise ShapeError("maxpool requires k >= 1 and stride >= 1")
@@ -345,6 +498,14 @@ def maxpool(x: Tensor, k: int, stride: int, padding: int = 0) -> Tensor:
     padded = np.pad(x.data, ((0, 0), (0, 0)) + ((padding, padding),) * dims,
                     constant_values=neg) if padding else x.data
     view, outs = _windows(padded, (k,) * dims, stride)
+    if active_tape() is None or not x.requires_grad:
+        y = None
+        for tap in np.ndindex(*(k,) * dims):
+            v = view[(slice(None),) * (dims + 2) + tap]
+            # np.maximum returns its second operand on a tie: the earlier tap
+            y = v.copy() if y is None else np.maximum(v, y, out=y)
+        return Tensor(y)
+
     n_out = int(np.prod(outs))
     y, arg = np.empty((b, c) + outs, x.dtype), np.empty((b, c) + outs, np.intp)
 

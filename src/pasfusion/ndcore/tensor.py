@@ -160,7 +160,8 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every leaf reachable from ``loss``.
 
     Leaves recorded on the tape but not reached by the flow get a zero grad.
-    The tape is consumed: it is cleared once the traversal finishes.
+    The tape is consumed: each node is popped off it as the walk reaches it,
+    so its closure and the buffers it saved are freed during the walk.
     """
     tape = _TAPE_STACK[-1]
     if tape is None:
@@ -172,8 +173,13 @@ def backward(loss: Tensor) -> None:
 
     pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
+    leaves: dict[int, Tensor] = {}
 
-    for node in reversed(tape.nodes):
+    while tape.nodes:
+        node = tape.nodes.pop()
+        for t in node.inputs:
+            if t.requires_grad and id(t) not in tape.produced:
+                leaves[id(t)] = t
         g = pending.pop(id(node.out), None)
         if g is None:
             continue
@@ -195,10 +201,9 @@ def backward(loss: Tensor) -> None:
         t.grad = g if t.grad is None else t.grad + g
 
     # Leaves that fed the tape but received no flow get explicit zeros.
-    for node in tape.nodes:
-        for t in node.inputs:
-            if t.requires_grad and id(t) not in tape.produced and t.grad is None:
-                t.grad = np.zeros_like(t.data)
+    for t in leaves.values():
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
 
     tape.clear()
 

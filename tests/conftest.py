@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -10,3 +11,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def each_conv_path(monkeypatch):
+    """Yields "columns", then "taps", with ``ops._TAP_MIN_WORK`` set so that
+    every ``conv`` call takes that algorithm until the next step."""
+    from pasfusion.ndcore import ops
+
+    def paths():
+        for name, work in (("columns", (math.inf, math.inf)), ("taps", (0, 0))):
+            monkeypatch.setattr(ops, "_TAP_MIN_WORK", work)
+            yield name
+
+    return paths

@@ -1,9 +1,11 @@
-"""Row-blocked conv and maxpool kernels across many blocks.
+"""Conv's two algorithms and the row-blocked kernels, against the loop oracles.
 
 ``ops._BLOCK_ROWS`` is shrunk so that one call runs through many blocks:
 partial last blocks, blocks that hold part of the batch, and blocks that cut
-an output axis in the middle.  Every result is checked against the loop
-oracles at the tolerances of the unblocked tests.
+an output axis in the middle.  Each conv case also runs on the tap path
+(``ops._TAP_MIN_WORK``), whose stride phases can be ragged, unread (k <
+stride) or mostly padding.  Every result is checked against the loop oracles
+at the tolerances of the unblocked tests.
 """
 import math
 import tracemalloc
@@ -43,11 +45,18 @@ def test_blocks_partition_rows_in_order(monkeypatch, rows, shape):
     np.testing.assert_array_equal(np.concatenate([b for _, b in kept]), view.reshape(-1, 2))
 
 
-@pytest.mark.parametrize("dims,k,stride,padding", [
+# (dims, k, stride, padding); sp = (k + 1, k + 2, k) is ragged at every stride > 1
+CONV_CASES = [
     (2, 1, 1, 0), (2, 1, 2, 0), (2, 3, 1, 1), (2, 3, 2, 1), (2, 7, 1, 3), (2, 7, 2, 2),
     (3, 1, 1, 0), (3, 1, 2, 0), (3, 3, 1, 1), (3, 3, 2, 1), (3, 7, 1, 0), (3, 7, 2, 1),
-])
-def test_conv_matches_oracles_across_blocks(monkeypatch, dims, k, stride, padding):
+    # k < stride: phases no tap reads; padding = k - 1: outputs of padding alone
+    (2, 2, 3, 1), (3, 1, 3, 0), (2, 3, 2, 2), (3, 3, 1, 2), (2, 5, 3, 4),
+]
+
+
+@pytest.mark.parametrize("dims,k,stride,padding", CONV_CASES)
+def test_conv_matches_oracles_across_blocks(monkeypatch, each_conv_path, dims, k, stride,
+                                            padding):
     rng = np.random.default_rng(808)
     sp = (k + 1, k + 2, k)[:dims]
     x = rng.normal(size=(3, 2) + sp)
@@ -56,16 +65,42 @@ def test_conv_matches_oracles_across_blocks(monkeypatch, dims, k, stride, paddin
     want_y = conv_nd_loops(x, w, b, stride, padding)
     g = rng.normal(size=want_y.shape)
     want = conv_nd_vjp_loops(x, w, g, stride, padding)
-    for rows in BLOCK_ROWS:
-        monkeypatch.setattr(ops, "_BLOCK_ROWS", rows)
+    for path in each_conv_path():
+        for rows in BLOCK_ROWS if path == "columns" else BLOCK_ROWS[-1:]:
+            monkeypatch.setattr(ops, "_BLOCK_ROWS", rows)
+            with ndc.Tape():
+                xt = ndc.Tensor(x, requires_grad=True)
+                wt, bt = ndc.Parameter(w), ndc.Parameter(b)
+                y = ndc.conv(xt, wt, bt, stride=stride, padding=padding)
+                ndc.backward(ndc.sum_(y * ndc.Tensor(g)))
+            np.testing.assert_allclose(y.data, want_y, rtol=0, atol=1e-12)
+            for got, ref in zip((xt.grad, wt.grad, bt.grad), want):
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dims,k,stride,padding", CONV_CASES[1::3])
+def test_conv_keeps_dtype_on_both_paths(each_conv_path, dtype, dims, k, stride, padding):
+    rng = np.random.default_rng(811)
+    sp = (k + 2, k + 1, k)[:dims]
+    x = rng.normal(size=(2, 3) + sp)
+    w = rng.normal(size=(2, 3) + (k,) * dims)
+    b = rng.normal(size=2)
+    want_y = conv_nd_loops(x, w, b, stride, padding)
+    g = rng.normal(size=want_y.shape)
+    want = conv_nd_vjp_loops(x, w, g, stride, padding)
+    tol = 1e-4 if dtype == np.float32 else 1e-10
+    for _ in each_conv_path():
         with ndc.Tape():
-            xt = ndc.Tensor(x, requires_grad=True)
-            wt, bt = ndc.Parameter(w), ndc.Parameter(b)
+            xt = ndc.Tensor(x, requires_grad=True, dtype=dtype)
+            wt, bt = ndc.Parameter(w, dtype=dtype), ndc.Parameter(b, dtype=dtype)
             y = ndc.conv(xt, wt, bt, stride=stride, padding=padding)
-            ndc.backward(ndc.sum_(y * ndc.Tensor(g)))
-        np.testing.assert_allclose(y.data, want_y, rtol=0, atol=1e-12)
+            ndc.backward(ndc.sum_(y * ndc.Tensor(g, dtype=dtype)))
+        assert y.dtype == dtype
+        np.testing.assert_allclose(y.data, want_y, rtol=0, atol=tol)
         for got, ref in zip((xt.grad, wt.grad, bt.grad), want):
-            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, ref, rtol=0, atol=tol)
 
 
 @pytest.mark.parametrize("dims,k,stride,padding", [
@@ -87,6 +122,19 @@ def test_maxpool_bitwise_across_blocks(monkeypatch, dims, k, stride, padding):
             ndc.backward(ndc.sum_(y * ndc.Tensor(g)))
         assert y.data.tobytes() == want_y.tobytes()
         assert xt.grad.tobytes() == want_gx.tobytes()
+    with ndc.no_grad():
+        assert ndc.maxpool(ndc.Tensor(x), k, stride, padding=padding).data.tobytes() \
+            == want_y.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dims,k,stride,padding", [(2, 3, 2, 1), (3, 2, 2, 0), (3, 3, 1, 1)])
+def test_untaped_maxpool_keeps_the_first_maximum(dtype, dims, k, stride, padding):
+    # ties of -0.0 and 0.0 are equal maxima with different bits
+    x = np.random.default_rng(812).choice([-0.0, 0.0, -1.0], size=(2, 3) + (6, 5, 4)[:dims])
+    want = maxpool_nd_loops(x, k, stride, padding).astype(dtype)
+    y = ndc.maxpool(ndc.Tensor(x, dtype=dtype), k, stride, padding=padding)
+    assert y.dtype == dtype and y.data.tobytes() == want.tobytes()
 
 
 def _retained_bytes(requires_grad: bool) -> int:
@@ -107,6 +155,35 @@ def _retained_bytes(requires_grad: bool) -> int:
             tracemalloc.stop()
         assert len(tape) == 1 and y.requires_grad
     return retained
+
+
+def test_tap_path_conv_retains_its_phases_not_columns(monkeypatch):
+    monkeypatch.setattr(ops, "_TAP_MIN_WORK", (0, 0))
+    padded_bytes = 8 * 18 * 18 * 10 * 4
+    assert _retained_bytes(requires_grad=True) < 2 * padded_bytes
+
+
+def _maxpool_peak(taped: bool) -> int:
+    """Traced peak bytes of a 3x3x3 stride-2 maxpool at a 3-D stem-like shape,
+    with a tape recording (``taped``) or under ``no_grad``."""
+    x = ndc.Tensor(np.random.default_rng(813).normal(size=(1, 8, 32, 32, 16)),
+                   requires_grad=True, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with ndc.Tape() if taped else ndc.no_grad():
+            ndc.maxpool(x, 3, 2, padding=1)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_untaped_maxpool_builds_no_argmax():
+    padded_bytes, out_bytes = 8 * 34 * 34 * 18 * 4, 8 * 16 * 16 * 8 * 4
+    intp_bytes = 8 * 16 * 16 * 8 * np.dtype(np.intp).itemsize
+    assert _maxpool_peak(taped=False) < padded_bytes + out_bytes + intp_bytes // 2
+    # the backward reads the first-argmax indices, so a taped one builds them
+    assert _maxpool_peak(taped=True) >= padded_bytes + out_bytes + intp_bytes
 
 
 def test_frozen_weight_conv_retains_no_columns():

@@ -47,14 +47,15 @@ class TestConv:
 
     @pytest.mark.parametrize("dims", [2, 3])
     @pytest.mark.parametrize("stride,padding,k", [(1, 0, 2), (2, 1, 3), (1, 1, 3)])
-    def test_matches_nested_loop_oracle(self, rng, dims, stride, padding, k):
+    def test_matches_nested_loop_oracle(self, rng, each_conv_path, dims, stride, padding, k):
         sp = (6, 5) if dims == 2 else (6, 5, 4)
         x = rng.normal(size=(2, 3) + sp)
         w = rng.normal(size=(4, 3) + (k,) * dims)
         b = rng.normal(size=4)
-        got = ndc.conv(_t(x), _param(w), _param(b), stride=stride, padding=padding)
         want = conv_nd_loops(x, w, b, stride, padding)
-        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+        for _ in each_conv_path():
+            got = ndc.conv(_t(x), _param(w), _param(b), stride=stride, padding=padding)
+            np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("in_ch,k,stride,padding", [
@@ -64,8 +65,8 @@ class TestConv:
         (1, 7, 2, 3),
     ])
     @pytest.mark.parametrize("layout", ["moveaxis", "strided"])
-    def test_non_contiguous_input_is_bitwise_contiguous(self, rng, batch, in_ch, k,
-                                                        stride, padding, layout):
+    def test_non_contiguous_input_is_bitwise_contiguous(self, rng, each_conv_path, batch,
+                                                        in_ch, k, stride, padding, layout):
         sp = (9, 8)
         if layout == "moveaxis":
             base = rng.normal(size=(batch, sp[1], sp[0], in_ch)).astype(np.float32)
@@ -76,19 +77,20 @@ class TestConv:
         assert strided.shape == (batch, in_ch) + sp and not strided.flags.c_contiguous
         w = rng.normal(size=(4, in_ch, k, k)).astype(np.float32)
         b = rng.normal(size=4).astype(np.float32)
-        results = []
-        for data in (strided, np.ascontiguousarray(strided)):
-            with ndc.Tape():
-                x = ndc.Tensor(np.zeros_like(data), requires_grad=True)
-                x.data = data       # the constructor would make a contiguous copy
-                wt, bt = ndc.Parameter(w), ndc.Parameter(b)
-                y = ndc.conv(x, wt, bt, stride=stride, padding=padding)
-                g = np.random.default_rng(5).normal(size=y.shape).astype(np.float32)
-                ndc.backward(ndc.sum_(y * ndc.Tensor(g)))
-            results.append((y.data, x.grad, wt.grad, bt.grad))
-        for got, want in zip(*results):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        for _ in each_conv_path():
+            results = []
+            for data in (strided, np.ascontiguousarray(strided)):
+                with ndc.Tape():
+                    x = ndc.Tensor(np.zeros_like(data), requires_grad=True)
+                    x.data = data       # the constructor would make a contiguous copy
+                    wt, bt = ndc.Parameter(w), ndc.Parameter(b)
+                    y = ndc.conv(x, wt, bt, stride=stride, padding=padding)
+                    g = np.random.default_rng(5).normal(size=y.shape).astype(np.float32)
+                    ndc.backward(ndc.sum_(y * ndc.Tensor(g)))
+                results.append((y.data, x.grad, wt.grad, bt.grad))
+            for got, want in zip(*results):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_channel_mismatch_names_axis(self):
         x = _t(np.zeros((1, 3, 4, 4)))
