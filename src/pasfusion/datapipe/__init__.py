@@ -25,7 +25,6 @@ from .preprocess import (
     preprocess_mri,
     preprocess_us,
     quantize_u8,
-    resample_volume_cubic,
 )
 from .rawio import RawFormatError, read_rimg, read_rvol, write_rimg, write_rvol
 
@@ -37,7 +36,7 @@ __all__ = [
     "stratified_split", "oversample_minority", "class_weights",
     "largest_remainder",
     "preprocess_mri", "preprocess_us", "minmax_unit", "quantize_u8",
-    "catmull_rom", "resample_volume_cubic", "PreprocessError",
+    "catmull_rom", "PreprocessError",
     "augment_mri", "augment_us", "sample_rng", "rotate_bilinear",
     "zoom_center_crop",
 ]

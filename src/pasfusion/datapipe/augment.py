@@ -33,7 +33,7 @@ def sample_rng(global_seed: int, patient_id: str, epoch: int,
 def zoom_center_crop(vox: np.ndarray, factor: float) -> np.ndarray:
     """Zoom by ``factor`` (>= 1) and keep the centre ``vox.shape`` window;
     only the kept voxels are resampled, one axis at a time."""
-    out = vox.astype(np.float64)
+    out = np.array(vox, dtype=np.float64, order="C")
     for axis, e in enumerate(vox.shape):
         scaled = max(1, int(round(e * factor)))
         x = _centred_positions(e, scaled)[(scaled - e) // 2:][:e]
@@ -51,7 +51,7 @@ def augment_mri(volume: Volume, rng: np.random.Generator) -> Volume:
     if quarter_turns and vox.shape[0] == vox.shape[1]:
         vox = np.rot90(vox, k=quarter_turns, axes=(0, 1))
     factor = float(rng.uniform(*ZOOM_RANGE))
-    vox = zoom_center_crop(np.ascontiguousarray(vox), factor)
+    vox = zoom_center_crop(vox, factor)
     return Volume(voxels=np.ascontiguousarray(vox, dtype=np.float32),
                   axis_order=volume.axis_order)
 

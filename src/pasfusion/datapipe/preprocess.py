@@ -50,7 +50,10 @@ def _tap_matrix(cols: np.ndarray, weights: np.ndarray, n_in: int) -> sparse.csr_
 def _resample_axis(arr: np.ndarray, x: np.ndarray, axis: int, kernel) -> np.ndarray:
     """Sample ``axis`` at the positions ``x`` with the ``kernel`` taps
     (edge-clamped) as one sparse tap-matrix product, so no tap is copied; the
-    positions ``0..n-1`` of an ``n``-long axis return ``arr`` itself."""
+    positions ``0..n-1`` of an ``n``-long axis return ``arr`` itself.  The axis
+    is contracted where it lies, by ``lead`` block-diagonal copies of the tap rows
+    over the ``(lead * n_in, trail)`` float64 view; the last axis, whose ``trail``
+    is 1, is transposed to the front and back instead."""
     n_in = arr.shape[axis]
     if len(x) == n_in and np.array_equal(x, np.arange(n_in)):
         return arr
@@ -58,9 +61,22 @@ def _resample_axis(arr: np.ndarray, x: np.ndarray, axis: int, kernel) -> np.ndar
     first, weights = kernel(x - base)
     w = np.stack(weights, axis=1)
     idx = np.clip(base[:, None] + np.arange(first, first + w.shape[1]), 0, n_in - 1)
-    moved = np.ascontiguousarray(np.moveaxis(arr, axis, 0), dtype=np.float64)
-    out = _tap_matrix(idx, w, n_in) @ moved.reshape(n_in, -1)
-    return np.moveaxis(out.reshape((len(x),) + moved.shape[1:]), 0, axis)
+    if axis == arr.ndim - 1:
+        out = _tap_matrix(idx, w, n_in) @ _transposed(arr.reshape(-1, n_in))
+        return _transposed(out).reshape(arr.shape[:-1] + (len(x),))
+    lead, trail = math.prod(arr.shape[:axis]), math.prod(arr.shape[axis + 1:])
+    cols = idx + n_in * np.arange(lead)[:, None, None]
+    taps = _tap_matrix(cols.reshape(-1, w.shape[1]), np.broadcast_to(w, cols.shape), lead * n_in)
+    out = taps @ np.ascontiguousarray(arr, dtype=np.float64).reshape(lead * n_in, trail)
+    return out.reshape(arr.shape[:axis] + (len(x),) + arr.shape[axis + 1:])
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """C-contiguous float64 ``a.T``, copied in bands of rows (2-4x numpy's speed)."""
+    out, rows = np.empty(a.shape[::-1]), max(16, 4096 // max(a.shape[1], 1))
+    for i in range(0, len(a), rows):
+        out[:, i:i + rows] = a[i:i + rows].T
+    return out
 
 
 def _centred_positions(n_in: int, n_out: int) -> np.ndarray:
@@ -75,23 +91,19 @@ def resample(arr: np.ndarray, extents, kernel) -> np.ndarray:
     return arr
 
 
-def resample_volume_cubic(vox: np.ndarray, extents) -> np.ndarray:
-    return resample(vox, extents, cubic_taps)
+def _unit_span(arr: np.ndarray, pad: bool = False) -> tuple[float, float]:
+    """-> ``(lo, hi - lo)`` over ``arr`` (and a zero padding if ``pad``); rejects NaN and inf."""
+    values = (float(arr.min()), float(arr.max())) + ((0.0,) if pad else ())
+    lo, hi = min(values), max(values)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise PreprocessError(f"non-finite values in the input (min {lo}, max {hi})")
+    return lo, hi - lo
 
 
 def minmax_unit(arr: np.ndarray) -> np.ndarray:
-    """Min-max to [0, 1]; a constant array maps to all zeros.
-
-    A NaN or infinite value would turn every output value NaN, so it is
-    rejected (NaN propagates through ``min``/``max``; no extra pass).
-    """
-    lo = float(arr.min())
-    hi = float(arr.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise PreprocessError(f"non-finite values in the input (min {lo}, max {hi})")
-    if hi == lo:
-        return np.zeros_like(arr, dtype=np.float32)
-    return ((arr - lo) / (hi - lo)).astype(np.float32)
+    """Min-max to [0, 1]; a constant array maps to all zeros."""
+    lo, span = _unit_span(arr)
+    return ((arr - lo) / span).astype(np.float32) if span else np.zeros_like(arr, np.float32)
 
 
 def reorder_axes(volume: Volume) -> np.ndarray:
@@ -108,13 +120,13 @@ def preprocess_mri(volume: Volume, target=(128, 128, 64)) -> Volume:
         raise PreprocessError(f"empty volume {vox.shape}")
     scale = min(t / e for t, e in zip(target, vox.shape))
     scaled = tuple(max(1, int(round(e * scale))) for e in vox.shape)
-    vox = resample_volume_cubic(vox.astype(np.float64), scaled)
-
-    out = np.zeros(target, dtype=np.float64)
-    starts = tuple((t - s) // 2 for t, s in zip(target, scaled))
-    region = tuple(slice(st, st + s) for st, s in zip(starts, scaled))
-    out[region] = vox
-    return Volume(voxels=minmax_unit(out), axis_order="HWD")
+    vox = resample(np.array(vox, dtype=np.float64, order="C"), scaled, cubic_taps)
+    lo, span = _unit_span(vox, pad=scaled != tuple(target))
+    out = np.full(target, (0.0 - lo) / span if span else 0.0, dtype=np.float32)
+    if span:
+        region = tuple(slice((t - s) // 2, (t - s) // 2 + s) for t, s in zip(target, scaled))
+        np.divide(np.subtract(vox, lo, out=vox), span, out=out[region])
+    return Volume(voxels=out, axis_order="HWD")
 
 
 def preprocess_us(pixels: np.ndarray, target=(224, 224)) -> np.ndarray:

@@ -138,9 +138,13 @@ class ModuleList(Module):
 
 
 def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    """He-uniform fan-in init: U(-sqrt(6/fan_in), +sqrt(6/fan_in))."""
-    bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+    """He-uniform fan-in init U(-b, b), b = sqrt(6/fan_in): numpy's -b + 2b*u in blocks."""
+    bound, block = math.sqrt(6.0 / fan_in), 1 << 16
+    out = np.empty(math.prod(shape), np.float32)
+    for start in range(0, out.size, block):
+        part = rng.random(min(block, out.size - start))
+        np.subtract(part * (2.0 * bound), bound, out=out[start:start + part.size])
+    return out.reshape(shape)
 
 
 class Conv(Module):

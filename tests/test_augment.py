@@ -10,7 +10,7 @@ from pasfusion.datapipe import (
     sample_rng,
     zoom_center_crop,
 )
-from pasfusion.datapipe.preprocess import resample_volume_cubic
+from pasfusion.datapipe.preprocess import cubic_taps, resample
 
 from oracles import rotate_bilinear_loops
 
@@ -50,7 +50,7 @@ class TestMriAugment:
         # (3, 4, 5) at 1.1 rounds two axes back to their own size
         vox = rng.random(shape).astype(np.float32)
         scaled = tuple(max(1, int(round(e * factor))) for e in shape)
-        big = resample_volume_cubic(vox.astype(np.float64), scaled)
+        big = resample(vox.astype(np.float64), scaled, cubic_taps)
         region = tuple(slice((s - e) // 2, (s - e) // 2 + e)
                        for s, e in zip(scaled, shape))
         expected = big[region]

@@ -250,6 +250,33 @@ class TestRawFormats:
             assert np.asarray(getattr(out, "voxels", out)).ndim == rank
 
 
+def _moveaxis_resample(arr, x, axis, kernel):
+    """Reference ``_resample_axis``: the axis moved to the front of a float64
+    copy, then one tap-matrix product over all the other values."""
+    n_in = arr.shape[axis]
+    if len(x) == n_in and np.array_equal(x, np.arange(n_in)):
+        return arr
+    base = np.floor(x).astype(np.int64)
+    first, weights = kernel(x - base)
+    w = np.stack(weights, axis=1)
+    idx = np.clip(base[:, None] + np.arange(first, first + w.shape[1]), 0, n_in - 1)
+    moved = np.ascontiguousarray(np.moveaxis(arr, axis, 0), dtype=np.float64)
+    out = preprocess._tap_matrix(idx, w, n_in) @ moved.reshape(n_in, -1)
+    return np.moveaxis(out.reshape((len(x),) + moved.shape[1:]), 0, axis)
+
+
+def _grid_preprocess_mri(volume, target):
+    """Reference ``preprocess_mri``: a float64 zero grid holding the resampled
+    block, min-maxed as a whole."""
+    vox = preprocess.reorder_axes(volume)
+    scale = min(t / e for t, e in zip(target, vox.shape))
+    scaled = tuple(max(1, int(round(e * scale))) for e in vox.shape)
+    vox = preprocess.resample(vox.astype(np.float64), scaled, preprocess.cubic_taps)
+    out = np.zeros(target, dtype=np.float64)
+    out[tuple(slice((t - s) // 2, (t - s) // 2 + s) for t, s in zip(target, scaled))] = vox
+    return minmax_unit(out)
+
+
 class TestPreprocessMri:
     def test_output_grid_and_range(self, rng):
         vol = Volume(voxels=rng.random((40, 50, 30)).astype(np.float32))
@@ -288,8 +315,7 @@ class TestPreprocessMri:
         # kernel weights sum to 1 and the kernel is interpolating: a linear
         # ramp resampled at 2x stays a linear ramp
         ramp = np.arange(16, dtype=np.float64).reshape(16, 1, 1) * np.ones((16, 4, 4))
-        from pasfusion.datapipe import resample_volume_cubic
-        out = resample_volume_cubic(ramp, (32, 4, 4))
+        out = preprocess.resample(ramp, (32, 4, 4), preprocess.cubic_taps)
         interior = out[4:-4, 0, 0]      # away from the clamped borders
         diffs = np.diff(interior)
         np.testing.assert_allclose(diffs, diffs[0], atol=1e-9)
@@ -330,16 +356,97 @@ class TestPreprocessMri:
 
     def test_resample_gathers_no_taps(self, rng):
         # four taps of a 48-position axis over 64 x 64 float64 values would be
-        # 6 MB gathered; one sparse product peaks at about the 1.5 MB output
+        # 6 MB gathered, and moving a middle axis to the front a 2 MB copy; one
+        # sparse product in place peaks at about the 1.5 MB output
         vox = rng.random((64, 64, 64))
         x = preprocess._centred_positions(64, 48)
-        tracemalloc.start()
-        try:
-            out = preprocess._resample_axis(vox, x, 0, preprocess.cubic_taps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * out.nbytes
+        for axis in (0, 1):
+            tracemalloc.start()
+            try:
+                out = preprocess._resample_axis(vox, x, axis, preprocess.cubic_taps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * out.nbytes, axis
+
+    @pytest.mark.parametrize("kernel", ["cubic", "linear"])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
+    @pytest.mark.parametrize("shape,view", [
+        ((9,), "contiguous"), ((9,), "strided"), ((9,), "flipped"),
+        ((7, 6), "contiguous"), ((7, 6), "strided"), ((7, 6), "flipped"), ((7, 6), "rot90"),
+        ((6, 5, 4), "contiguous"), ((6, 5, 4), "strided"), ((6, 5, 4), "flipped"),
+        ((6, 5, 4), "rot90"), ((5, 4, 1), "contiguous"), ((1, 6, 3), "rot90"),
+        # the last axis is transposed in several bands of rows, the last one ragged
+        ((37, 30, 64), "contiguous"), ((37, 30, 64), "flipped"), ((700, 9), "strided")])
+    def test_resample_axis_is_bitwise_moveaxis(self, rng, shape, view, dtype, kernel):
+        # each output still sums its taps in tap order, wherever the axis lies
+        wide = (rng.random(shape[:-1] + (2 * shape[-1],)) * 200).astype(dtype)
+        arr = {"contiguous": lambda: np.ascontiguousarray(wide[..., ::2]),
+               "strided": lambda: wide[..., ::2],
+               "flipped": lambda: np.flip(wide[..., ::2]),
+               "rot90": lambda: np.rot90(wide[..., ::2])}[view]()
+        taps = {"cubic": preprocess.cubic_taps, "linear": preprocess.linear_taps}[kernel]
+        for axis, n in enumerate(arr.shape):
+            # shrink, grow (edge taps clamp), a zoom window and align-corners
+            for x in (preprocess._centred_positions(n, max(1, n // 2)),
+                      preprocess._centred_positions(n, 2 * n + 1),
+                      preprocess._centred_positions(n, 2 * n)[n // 2:][:n],
+                      np.linspace(0, n - 1, n + 3)):
+                out = preprocess._resample_axis(arr, x, axis, taps)
+                want = _moveaxis_resample(arr, x, axis, taps)
+                assert out.shape == want.shape and out.dtype == want.dtype
+                assert out.tobytes() == want.tobytes(), (axis, len(x))
+
+    @pytest.mark.parametrize("shape,axis", [((0, 5, 3), 1), ((0, 5, 3), 2), ((4, 0, 3), 0),
+                                            ((4, 0, 3), 2), ((4, 3, 0), 1)])
+    def test_resample_axis_keeps_empty_arrays(self, shape, axis):
+        # an empty axis beside the resampled one gives an empty result, as the
+        # moveaxis product did
+        x = preprocess._centred_positions(shape[axis], 7)
+        out = preprocess._resample_axis(np.zeros(shape), x, axis, preprocess.cubic_taps)
+        assert out.shape == shape[:axis] + (7,) + shape[axis + 1:]
+
+    @pytest.mark.parametrize("shape,target", [
+        ((40, 50, 30), (32, 32, 16)),       # padded on two axes
+        ((16, 16, 8), (32, 32, 16)),        # unpadded, grown
+        ((32, 32, 16), (32, 32, 16)),       # unpadded, nothing resampled
+        ((32, 20, 16), (32, 32, 16))])      # padded, nothing resampled
+    @pytest.mark.parametrize("values", ["uniform", "normal", "signed-zeros", "constant",
+                                        "zero"])
+    def test_matches_zero_grid(self, rng, shape, target, values):
+        # the float32 output written once equals min-maxing a zero grid that
+        # holds the resampled block, byte for byte
+        vox = {"uniform": lambda: rng.random(shape) + 0.5,
+               "normal": lambda: rng.normal(size=shape),
+               # the minimum is a zero of either sign
+               "signed-zeros": lambda: np.where(rng.random(shape) < 0.3, -0.0,
+                                                np.abs(rng.normal(size=shape))),
+               "constant": lambda: np.full(shape, 3.0),
+               "zero": lambda: np.zeros(shape)}[values]().astype(np.float32)
+        for volume in (Volume(voxels=vox),
+                       Volume(voxels=np.transpose(vox, (2, 0, 1)), axis_order="DHW")):
+            out = preprocess_mri(volume, target=target).voxels
+            want = _grid_preprocess_mri(volume, target)
+            assert out.dtype == np.float32 and out.shape == tuple(target)
+            if values == "signed-zeros" and shape != target and \
+                    min(t / e for t, e in zip(target, shape)) == 1.0:
+                # padded but not resampled: the grid's zero minimum takes its
+                # sign from where numpy's reduction meets the padding, so only
+                # the values are defined
+                np.testing.assert_array_equal(out, want)
+            else:
+                assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(40, 50, 30), (16, 16, 8), (32, 20, 16)])
+    def test_non_finite_raises_the_zero_grid_error(self, rng, shape, bad):
+        vox = rng.random(shape).astype(np.float32)
+        vox[3, 4, 5] = bad
+        with pytest.raises(PreprocessError) as want:
+            _grid_preprocess_mri(Volume(voxels=vox), (32, 32, 16))
+        with pytest.raises(PreprocessError, match="non-finite") as got:
+            preprocess_mri(Volume(voxels=vox), target=(32, 32, 16))
+        assert str(got.value) == str(want.value)
 
 
 class TestNonFiniteInput:

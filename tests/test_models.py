@@ -245,6 +245,21 @@ class TestInitialization:
         theory = np.sqrt(2.0 / fan_in)
         assert abs(draws.std() - theory) / theory < 0.2
 
+    @pytest.mark.parametrize("blocks,extra", [(0, 0), (0, 3), (1, -1), (1, 0), (1, 1), (3, 2)])
+    def test_kaiming_is_bitwise_one_uniform_draw(self, blocks, extra):
+        # sizes below, at and across kaiming_uniform's block of 2**16 draws: the
+        # float32 bytes of one full-size uniform draw, and the same next draw
+        from pasfusion.models import kaiming_uniform
+        size = blocks * (1 << 16) + extra
+        shape = (size, 1) if blocks % 2 else (1, size)
+        bound = np.sqrt(6.0 / 27)
+        ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+        want = ref_rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        got = kaiming_uniform(rng, shape, 27)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref_rng.random()
+
     def test_positional_embedding_spread(self):
         model = build_model("mri", MICRO, seed=0)
         pos = model.extractor.vit.pos.data
