@@ -5,8 +5,8 @@ BLAS/OMP thread environment before numpy loads; that makes repeated runs
 bitwise identical regardless of threaded GEMM scheduling.
 
 Exit codes: 0 success, 1 a worker process died, 2 configuration/usage,
-3 data, 4 numeric failure. ``--verbose`` sends the ``pasfusion`` logger's
-INFO lines to stderr.
+3 data (also an input of a shape the model rejects), 4 numeric failure.
+``--verbose`` sends the ``pasfusion`` logger's INFO lines to stderr.
 """
 from __future__ import annotations
 
@@ -460,7 +460,7 @@ def main(argv=None) -> int:
 
     from .datapipe import ManifestError, NiftiError, PreprocessError, RawFormatError
     from .evalstats import MetricsError, StatsError
-    from .ndcore import ContainerError
+    from .ndcore import ContainerError, ShapeError
     from .trainer import DataError, NumericError, WorkerError
 
     log = logging.getLogger("pasfusion")
@@ -477,7 +477,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ManifestError, NiftiError, RawFormatError, PreprocessError,
-            ContainerError, DataError, FileNotFoundError) as exc:
+            ContainerError, DataError, ShapeError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, MetricsError, StatsError, FloatingPointError) as exc:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,12 @@ class ModelOutput:
 
 
 class MriFeatureExtractor(Module):
-    """DenseNet + ViT branches in parallel; features are their concatenation."""
+    """DenseNet + ViT branches side by side; features are their concatenation.
+
+    An untaped forward runs the two branches concurrently (``ndc.branches``:
+    DenseNet on a short-lived thread, ViT on the caller's) when BLAS has a
+    pool of two threads or more to pin; the features are the same bytes.
+    """
 
     def __init__(self, profile: ScaleProfile):
         super().__init__()
@@ -32,8 +38,10 @@ class MriFeatureExtractor(Module):
         self.vit = Vit3dBranch(profile)
 
     def forward(self, volume: Tensor) -> Tensor:
-        f_dense = self.dense(volume)
-        f_vit = self.vit(volume)
+        return self.merge(*ndc.branches(partial(self.dense, volume), partial(self.vit, volume)))
+
+    def merge(self, f_dense: Tensor, f_vit: Tensor) -> Tensor:
+        """The two branch outputs concatenated; their widths go to ``last_shapes``."""
         self.last_shapes = {
             "f_dense": f_dense.shape[1],
             "f_vit": f_vit.shape[1],
@@ -89,7 +97,14 @@ class UsResNet50Net(Module):
 
 class FusionNet(Module):
     """Feature-level fusion: unimodal extractors (heads removed), concat,
-    two-layer MLP to a single sigmoid output."""
+    two-layer MLP to a single sigmoid output.
+
+    The DenseNet, ViT and ResNet50 branches meet only at the concat. An
+    untaped forward runs them through one ``ndc.branches`` call: DenseNet
+    on a short-lived thread, ViT then ResNet50 on the caller's, with BLAS
+    pinned to one thread each. Training, Grad-CAM and a one-thread BLAS pool
+    run them in order. The outputs are the same bytes either way.
+    """
 
     def __init__(self, profile: ScaleProfile, dropout: float = 0.3, seed: int = 0):
         super().__init__()
@@ -103,12 +118,14 @@ class FusionNet(Module):
         self.fc2 = Linear(profile.fusion_hidden, 1)
 
     def forward(self, volume: Tensor, image: Tensor) -> ModelOutput:
-        f_mri = self.mri(volume)
-        f_us = self.us(image)
+        mri = self.mri
+        f_dense, f_vit, f_us = ndc.branches(partial(mri.dense, volume), partial(mri.vit, volume),
+                                            partial(self.us, image))
+        f_mri = mri.merge(f_dense, f_vit)
         fused = ndc.concat([f_mri, f_us], axis=1)
         y = self.drop(ndc.relu(self.fc1(fused)))
         logits = self.fc2(y)
-        shapes = dict(self.mri.last_shapes)
+        shapes = dict(mri.last_shapes)
         shapes.update(f_combined=f_mri.shape[1], f_us=f_us.shape[1],
                       fused=fused.shape[1], output=logits.shape[1])
         return ModelOutput(fused, logits, ndc.sigmoid(logits), shapes)

@@ -33,9 +33,10 @@ from .ops import (
     transpose,
 )
 from .serialize import ContainerError, dump_arrays, load_arrays
+from .threads import branches
 
 __all__ = [
-    "Tensor", "Parameter", "Tape", "no_grad", "backward", "active_tape",
+    "Tensor", "Parameter", "Tape", "no_grad", "backward", "active_tape", "branches",
     "ShapeError", "GradError", "ops",
     "conv", "maxpool", "avgpool", "global_avgpool", "batchnorm", "layernorm",
     "relu", "gelu", "sigmoid", "softmax", "linear", "concat", "mhsa", "dropout", "cross_entropy", "bce_loss",

@@ -25,3 +25,17 @@ def each_conv_path(monkeypatch):
             yield name
 
     return paths
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS at two threads for the test, then back to its
+    own count: the pool size at which model forwards fan out. Skipped
+    where no OpenBLAS is found."""
+    from pasfusion.ndcore import threads
+
+    libraries = threads.openblas_libraries()
+    if not libraries:
+        pytest.skip("no OpenBLAS found in /proc/self/maps")
+    with threads.blas_threads(libraries, 2):
+        yield libraries

@@ -210,6 +210,27 @@ class TestExitCodes:
         code = main(["explain", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
 
+    def test_wrong_volume_shape_is_data_error(self, dataset_dir, tmp_path, capsys,
+                                              monkeypatch, two_blas_threads):
+        from pasfusion.models import build_model
+        from pasfusion.trainer import PreprocessCache, save_checkpoint, snapshot_state
+
+        ckpt = tmp_path / "fusion.ckpt"
+        save_checkpoint(ckpt, snapshot_state(build_model("fusion", "micro", seed=0)),
+                        {"model": "fusion", "profile": "micro", "seed": 0})
+        # (32, 16, 32) volumes: the ViT branch takes them, the DenseNet branch does not
+        volume = PreprocessCache.volume
+        monkeypatch.setattr(PreprocessCache, "volume", lambda self, uri: np.ascontiguousarray(
+            volume(self, uri).transpose(0, 2, 1)))
+        cfg = tmp_path / "e.json"
+        cfg.write_text(json.dumps({
+            "checkpoint": str(ckpt),
+            "manifest": str(dataset_dir / "data" / "manifest.json"), "split": "test"}))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")]) == EXIT_DATA
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error: volume shape"), lines
+
 
     @pytest.mark.parametrize("fault", ["image_header", "label"])
     def test_malformed_input_is_data_error(self, dataset_dir, tmp_path, fault):
