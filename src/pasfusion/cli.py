@@ -1,8 +1,9 @@
 """Command-line interface: one executable, JSON configs, dotted-key overrides.
 
-Heavy modules are imported inside ``main`` so ``--deterministic`` can pin the
-BLAS/OMP thread environment before numpy loads; that makes repeated runs
-bitwise identical regardless of threaded GEMM scheduling.
+Heavy modules are imported inside ``main``, so parsing and ``--help`` load no
+numpy. ``--deterministic`` holds every loaded OpenBLAS at one thread while the
+command runs; that makes repeated runs bitwise identical regardless of
+threaded GEMM scheduling.
 
 Exit codes: 0 success, 1 a worker process died, 2 configuration/usage,
 3 data (also an input of a shape the model rejects), 4 numeric failure.
@@ -14,7 +15,6 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -448,10 +448,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if "--deterministic" in argv:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = "1"
     try:
         cli = parse_args(argv)
     except ConfigError as exc:
@@ -460,7 +456,7 @@ def main(argv=None) -> int:
 
     from .datapipe import ManifestError, NiftiError, PreprocessError, RawFormatError
     from .evalstats import MetricsError, StatsError
-    from .ndcore import ContainerError, ShapeError
+    from .ndcore import ContainerError, ShapeError, threads
     from .trainer import DataError, NumericError, WorkerError
 
     log = logging.getLogger("pasfusion")
@@ -468,8 +464,10 @@ def main(argv=None) -> int:
     if cli.verbose:
         log.addHandler(handler)
         log.setLevel(logging.INFO)
+    pinned = threads.openblas_libraries() if cli.deterministic else []
     try:
-        return _COMMANDS[cli.command](cli)
+        with threads.blas_threads(pinned, 1):
+            return _COMMANDS[cli.command](cli)
     except WorkerError as exc:
         print(f"worker error: {exc}", file=sys.stderr)
         return EXIT_WORKER

@@ -1,7 +1,6 @@
 """The one check every config value goes through, and the error it raises.
 
-Imports no numpy, so the CLI can load it before ``--deterministic`` pins
-the BLAS threads.
+Imports no numpy, so the CLI can parse its arguments without loading it.
 """
 from __future__ import annotations
 

@@ -8,6 +8,8 @@ so while branches run, every loaded OpenBLAS is set to one thread through
 its global setter, and set back after the join. (In the OpenBLAS 0.3.31
 that numpy bundles, ``openblas_set_num_threads_local(1)`` called on one
 thread leaves every thread's count at 1, so it is no per-thread pin.)
+``blas_threads`` is the package's one setter of a BLAS thread count: the CLI's
+``--deterministic`` and the forked runs of ``trainer.loop`` pin through it too.
 """
 from __future__ import annotations
 

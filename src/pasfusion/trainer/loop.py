@@ -297,18 +297,15 @@ def summarize_runs(metric_dicts: list[dict]) -> dict:
     return summary
 
 
-def _workers(n_runs: int, profile: str) -> int:
+def _workers(n_runs: int, profile: str, libraries: list) -> int:
     """Worker processes for ``n_runs`` independent runs; 1 means in-process.
 
-    Runs fork only while this process has a single thread, CPython's own
-    fork-safety test: OpenBLAS starts its pool when numpy is imported, so
-    this holds when BLAS was pinned to one thread before that (as under
-    ``--deterministic``), and a fork then copies no thread pool. One paper
-    run alone peaks at ~4 GB, so paper runs stay in-process.
+    Runs fork only where an OpenBLAS is found in ``libraries``, so that
+    ``_gather`` can hold it at one thread for the workers to inherit: two
+    workers that each ran a 2-thread pool would oversubscribe the CPUs. One
+    paper run alone peaks at ~4 GB, so paper runs stay in-process.
     """
-    task_dir = "/proc/self/task"
-    if (n_runs < 2 or profile == "paper" or not os.path.isdir(task_dir)
-            or len(os.listdir(task_dir)) != 1):
+    if n_runs < 2 or profile == "paper" or not libraries:
         return 1
     return min(n_runs, len(os.sched_getaffinity(0)))
 
@@ -325,7 +322,8 @@ def _gather(run_seed, seeds: list[int], profile: str) -> list[list[RunRecord]]:
     returns one seed's records. Seeds fan out over forked worker processes
     when ``_workers`` allows. The first failure is re-raised here, and the
     seeds not yet started never start."""
-    workers = _workers(len(seeds), profile)
+    libraries = ndc.threads.openblas_libraries()
+    workers = _workers(len(seeds), profile, libraries)
     log.info("dispatch: %d runs, %d workers, nproc %d", len(seeds), workers,
              len(os.sched_getaffinity(0)))
     if workers == 1:
@@ -337,7 +335,8 @@ def _gather(run_seed, seeds: list[int], profile: str) -> list[list[RunRecord]]:
 
     results: list = [None] * len(seeds)
     todo, running = list(enumerate(seeds)), {}
-    with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+    with (ndc.threads.blas_threads(libraries, 1),
+          ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool):
         try:
             # one run in flight per worker: the executor itself would queue
             # more, and a queued run cannot be cancelled after a failure

@@ -19,6 +19,8 @@ from pasfusion.cli import (
     main,
     parse_args,
 )
+from pasfusion.datapipe import SampleManifest
+from pasfusion.ndcore import threads
 from pasfusion.trainer import loop
 
 
@@ -485,13 +487,63 @@ class TestVerbose:
                      str(tmp_path), "--verbose"]) == EXIT_OK
         lines = capsys.readouterr().err.splitlines()
         assert lines[0].startswith("dispatch: 2 runs, ")
-        assert lines[1:] == [f"us seed {s}: best epoch 0, best val accuracy 1.0000"
-                             for s in (0, 1)]
+        # forked runs are logged as they finish, so in either order
+        want = [f"us seed {s}: best epoch 0, best val accuracy 1.0000" for s in (0, 1)]
+        assert sorted(lines[1:]) == want
 
 
-# Run in a child on two CPUs whose BLAS is pinned to one thread before numpy
-# loads, so the seeds fork into two workers; fork carries the patched
-# ``loop.train`` along. Seed 1 fails at once; the other seeds take a second.
+def _blas_counts(libraries) -> list[int]:
+    return [get() for get, _ in libraries]
+
+
+def _pid_and_blas_counts(cfg, manifest, **kwargs):
+    record, _ = _fake_train(cfg, manifest)
+    record.test_metrics.update(pid=os.getpid(),
+                               blas=_blas_counts(threads.openblas_libraries()))
+    return record, None
+
+
+class TestBlasPin:
+    def test_deterministic_pins_blas_in_process(self, two_blas_threads, tmp_path,
+                                                monkeypatch):
+        seen = []
+
+        def probe(cli):
+            """record the BLAS thread counts"""
+            seen.append(_blas_counts(two_blas_threads))
+            return EXIT_OK
+
+        monkeypatch.setitem(pasfusion.cli._COMMANDS, "stats", probe)
+        argv = ["stats", "--out", str(tmp_path), "--deterministic"]
+        env = dict(os.environ)
+        assert main(argv) == EXIT_OK
+        assert seen == [[1] * len(two_blas_threads)]
+        assert _blas_counts(two_blas_threads) == [2] * len(two_blas_threads)
+        assert dict(os.environ) == env
+        # with no OpenBLAS found, nothing is pinned and the command still runs
+        monkeypatch.setattr(threads, "openblas_libraries", lambda: [])
+        assert main(argv) == EXIT_OK
+        assert seen[1] == [2] * len(two_blas_threads)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs to fork two workers")
+    def test_runs_fork_from_an_unpinned_process(self, two_blas_threads, dataset_dir,
+                                                monkeypatch, caplog):
+        monkeypatch.setattr(loop, "train", _pid_and_blas_counts)
+        manifest = SampleManifest.load(dataset_dir / "data" / "manifest.json")
+        with caplog.at_level("INFO", logger="pasfusion"):
+            result = loop.multi_run(loop.TrainConfig(model="us", epochs=1),
+                                    manifest, n_runs=2)
+        assert caplog.messages[0].startswith("dispatch: 2 runs, 2 workers, ")
+        for metrics in result["metrics"]:
+            assert metrics["pid"] != os.getpid()
+            assert metrics["blas"] == [1] * len(two_blas_threads)
+        assert _blas_counts(two_blas_threads) == [2] * len(two_blas_threads)
+
+
+# Run in a child on two CPUs, whose BLAS pool keeps its own size until the
+# seeds fork into two workers; fork carries the patched ``loop.train`` along.
+# Seed 1 fails at once; the other seeds take a second.
 _FAULTY_MULTIRUN = """
 import os, sys, time
 from pathlib import Path
@@ -532,8 +584,7 @@ class TestWorkerFailures:
         started.mkdir()
         path = [str(Path(pasfusion.__file__).resolve().parents[1]),
                 str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         proc = subprocess.run(
             [sys.executable, "-c", _FAULTY_MULTIRUN, fault, str(started),
              "multirun", "--config", str(cfg), "--out", str(tmp_path / "o"),
