@@ -2,8 +2,7 @@
 
 Heavy modules are imported inside ``main``, so parsing and ``--help`` load no
 numpy. ``--deterministic`` holds every loaded OpenBLAS at one thread while the
-command runs; that makes repeated runs bitwise identical regardless of
-threaded GEMM scheduling.
+command runs, for bitwise-repeatable runs, and exits 2 where it finds none.
 
 Exit codes: 0 success, 1 a worker process died, 2 configuration/usage,
 3 data (also an input of a shape the model rejects), 4 numeric failure.
@@ -466,6 +465,8 @@ def main(argv=None) -> int:
         log.setLevel(logging.INFO)
     pinned = threads.openblas_libraries() if cli.deterministic else []
     try:
+        if cli.deterministic and not pinned:
+            raise ConfigError("--deterministic found no scipy_openblas library to pin")
         with threads.blas_threads(pinned, 1):
             return _COMMANDS[cli.command](cli)
     except WorkerError as exc:

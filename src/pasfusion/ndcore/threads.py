@@ -8,8 +8,7 @@ so while branches run, every loaded OpenBLAS is set to one thread through
 its global setter, and set back after the join. (In the OpenBLAS 0.3.31
 that numpy bundles, ``openblas_set_num_threads_local(1)`` called on one
 thread leaves every thread's count at 1, so it is no per-thread pin.)
-``blas_threads`` is the package's one setter of a BLAS thread count: the CLI's
-``--deterministic`` and the forked runs of ``trainer.loop`` pin through it too.
+``blas_threads`` is the one setter; ``--deterministic`` and forked runs use it.
 """
 from __future__ import annotations
 
@@ -24,8 +23,8 @@ from .tensor import active_tape
 
 # a mapped OpenBLAS; numpy's copy suffixes its C entry points with "64_"
 _OPENBLAS = re.compile(r" (/[^\n]*/libscipy_openblas(64_)?-[^/\n]*\.so)$", re.M)
-# held while branches run: the pin is process-wide, so one fan-out at a time
-_FAN_OUT = threading.Lock()
+# held by each blas_threads block, so one thread at a time sets the counts
+_PIN = threading.RLock()
 
 
 @functools.cache
@@ -53,15 +52,17 @@ def openblas_libraries() -> list[tuple[Callable, Callable]]:
 @contextlib.contextmanager
 def blas_threads(libraries: list[tuple[Callable, Callable]], n: int):
     """Set each of ``libraries`` to ``n`` threads inside the block, and back
-    to its previous count on the way out, also when the block raises."""
-    before = [get() for get, _ in libraries]
-    for _, set_threads in libraries:
-        set_threads(n)
-    try:
-        yield
-    finally:
-        for (_, set_threads), count in zip(libraries, before):
-            set_threads(count)
+    to its previous count on the way out, also when the block raises. A block
+    in another thread waits for this one to end."""
+    with _PIN:
+        before = [get() for get, _ in libraries]
+        for _, set_threads in libraries:
+            set_threads(n)
+        try:
+            yield
+        finally:
+            for (_, set_threads), count in zip(libraries, before):
+                set_threads(count)
 
 
 def branches(*calls: Callable[[], object]) -> list:
@@ -71,17 +72,17 @@ def branches(*calls: Callable[[], object]) -> list:
     more, the calls fan out: the first runs on a short-lived thread, the
     rest one after another on this one, every OpenBLAS at one thread until
     the join. Otherwise, as for a call nested inside a branch or made while
-    another thread fans out, the calls run here, in order. Either way the
-    results are the same bytes. An exception is raised here after the join;
-    where both threads raised, it is the first call's, as in order.
+    another thread sets the counts, the calls run here, in order. Either way
+    the results are the same bytes. An exception is raised here after the
+    join; where both threads raised, it is the first call's, as in order.
     """
     libraries = openblas_libraries() if len(calls) > 1 and active_tape() is None else []
-    if libraries and _FAN_OUT.acquire(blocking=False):
+    if libraries and _PIN.acquire(blocking=False):
         try:
             if max(get() for get, _ in libraries) >= 2:
                 return _fan_out(calls, libraries)
         finally:
-            _FAN_OUT.release()
+            _PIN.release()
     return [call() for call in calls]
 
 

@@ -37,5 +37,11 @@ def two_blas_threads():
     libraries = threads.openblas_libraries()
     if not libraries:
         pytest.skip("no OpenBLAS found in /proc/self/maps")
-    with threads.blas_threads(libraries, 2):
-        yield libraries
+    # set here, not in a ``blas_threads`` block, whose lock would keep the
+    # test's other threads from fanning out
+    before = [get() for get, _ in libraries]
+    for _, set_threads in libraries:
+        set_threads(2)
+    yield libraries
+    for (_, set_threads), count in zip(libraries, before):
+        set_threads(count)

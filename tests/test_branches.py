@@ -89,9 +89,23 @@ class TestBranches:
             assert ndc.branches(lambda: 1, lambda: 2) == [1, 2]
         with threads.blas_threads(two_blas_threads, 1):
             assert ndc.branches(lambda: 1, lambda: 2) == [1, 2]
-        with threads._FAN_OUT:              # as while another thread's branches run
+        # another thread's blas_threads block, as while its branches run
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with threads.blas_threads(two_blas_threads, 2):
+                held.set()
+                release.wait(timeout=60)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(timeout=60)
             assert ndc.branches(lambda: 1, lambda: 2) == [1, 2]
-        assert thread_starts == []
+        finally:
+            release.set()
+            holder.join(timeout=60)
+        assert thread_starts == [holder.name]
 
 
     def test_concurrent_callers_leave_the_pool_as_found(self, two_blas_threads):

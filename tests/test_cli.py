@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from pasfusion.cli import (
     parse_args,
 )
 from pasfusion.datapipe import SampleManifest
+from pasfusion import ndcore as ndc
 from pasfusion.ndcore import threads
 from pasfusion.trainer import loop
 
@@ -505,7 +508,7 @@ def _pid_and_blas_counts(cfg, manifest, **kwargs):
 
 class TestBlasPin:
     def test_deterministic_pins_blas_in_process(self, two_blas_threads, tmp_path,
-                                                monkeypatch):
+                                                monkeypatch, capsys):
         seen = []
 
         def probe(cli):
@@ -520,10 +523,13 @@ class TestBlasPin:
         assert seen == [[1] * len(two_blas_threads)]
         assert _blas_counts(two_blas_threads) == [2] * len(two_blas_threads)
         assert dict(os.environ) == env
-        # with no OpenBLAS found, nothing is pinned and the command still runs
+        # with no OpenBLAS found, runs could not be repeated bitwise: refused
         monkeypatch.setattr(threads, "openblas_libraries", lambda: [])
-        assert main(argv) == EXIT_OK
-        assert seen[1] == [2] * len(two_blas_threads)
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG and len(seen) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: --deterministic found no scipy_openblas library to pin"]
+        assert main(argv[:-1]) == EXIT_OK and len(seen) == 2
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                         reason="needs two usable CPUs to fork two workers")
@@ -538,6 +544,34 @@ class TestBlasPin:
         for metrics in result["metrics"]:
             assert metrics["pid"] != os.getpid()
             assert metrics["blas"] == [1] * len(two_blas_threads)
+        assert _blas_counts(two_blas_threads) == [2] * len(two_blas_threads)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs to fork two workers")
+    def test_runs_wait_for_another_threads_fan_out(self, two_blas_threads, dataset_dir,
+                                                   monkeypatch):
+        def slow_train(cfg, manifest, **kwargs):
+            time.sleep(1)
+            return _pid_and_blas_counts(cfg, manifest)
+
+        monkeypatch.setattr(loop, "train", slow_train)
+        manifest = SampleManifest.load(dataset_dir / "data" / "manifest.json")
+        fanned, release = threading.Event(), threading.Event()
+
+        def held():
+            fanned.set()
+            release.wait(timeout=60)
+
+        fan_out = threading.Thread(target=ndc.branches, args=(held, lambda: None))
+        fan_out.start()
+        assert fanned.wait(timeout=60)      # every count is at 1 until the join
+        # the fan-out ends while the runs would be in flight, had they not waited
+        timer = threading.Timer(0.5, release.set)
+        timer.start()
+        result = loop.multi_run(loop.TrainConfig(model="us", epochs=1), manifest, n_runs=2)
+        fan_out.join(timeout=60)
+        timer.join()
+        assert [m["blas"] for m in result["metrics"]] == [[1] * len(two_blas_threads)] * 2
         assert _blas_counts(two_blas_threads) == [2] * len(two_blas_threads)
 
 
