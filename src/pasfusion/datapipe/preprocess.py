@@ -94,7 +94,8 @@ def resample(arr: np.ndarray, extents, kernel) -> np.ndarray:
 def _unit_span(arr: np.ndarray, pad: bool = False) -> tuple[float, float]:
     """-> ``(lo, hi - lo)`` over ``arr`` (and a zero padding if ``pad``); rejects NaN and inf."""
     values = (float(arr.min()), float(arr.max())) + ((0.0,) if pad else ())
-    lo, hi = min(values), max(values)
+    # a zero minimum as +0.0, whichever signed zero the reduction met first
+    lo, hi = min(values) + 0.0, max(values)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise PreprocessError(f"non-finite values in the input (min {lo}, max {hi})")
     return lo, hi - lo

@@ -5,14 +5,15 @@ Every function builds its result with numpy, then registers a backward
 closure on the active tape via ``record``.  Convolution keeps the
 channels-first API, (B, C, *sp) tensors and (out, in, *k) weights, and has
 two algorithms, chosen on each call from the operand shapes through
-``_TAP_MIN_WORK``: every 1x1 conv, and a larger one whose output rows times
-input channels reach 2^20, takes the tap path; the rest take the columns.
+``_TAP_MIN_WORK``: every 1x1 conv, and a larger stride-1 one whose output
+rows times input channels reach 2^20, takes the tap path; the rest, every
+larger kernel at stride > 1 among them, take the columns.
 
-* The tap path (``_tap_conv``) accumulates one GEMM per kernel tap over the
-  flattened stride phases of the zero-padded channels-first input, copied
-  once (an unpadded stride-1 input is not copied), and crops the valid
-  outputs.  Its backward is per tap as well, and it keeps the phases, not
-  columns, for the weight gradient.
+* The tap path (``_tap_conv``) serves convs with one stride phase.  It
+  accumulates one GEMM per kernel tap over the flattened zero-padded
+  channels-first input grid, copied once (an unpadded stride-1 input is not
+  copied), and crops the valid outputs.  Its backward is per tap as well, and
+  it keeps the grid, not columns, for the weight gradient.
 * The columns path (``_column_conv``) works on channels-last columns.  No
   window expansion is built whole: ``_row_blocks`` cuts the output axes of a
   strided window view (``_windows``) into blocks of at most ``_BLOCK_ROWS``
@@ -322,32 +323,13 @@ def _column_conv(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: 
     return y.transpose(_to_first(dims + 2)), grads
 
 
-def _phase_slices(sp, grid, k: int, stride: int, padding: int) -> list:
-    """Per stride phase ``r`` that some tap reads (``r < k`` on every axis), in
-    row-major order: the slices of its grid and of the input that it holds.
-    Grid index ``j`` of phase ``r`` is padded position ``r + stride*j``, that
-    is input position ``r + stride*j - padding``; the rest of a grid is zero."""
-    axes = []
-    for n, q in zip(sp, grid):
-        per_phase = []
-        for r in range(min(k, stride)):
-            lo = max(0, -((r - padding) // stride))
-            start = r + stride * lo - padding
-            count = max(0, min(q - lo, -((start - n) // stride)))
-            per_phase.append((slice(lo, lo + count),
-                              slice(start, start + stride * count, stride)))
-        axes.append(per_phase)
-    return [tuple(zip(*phase)) for phase in itertools.product(*axes)]
-
-
 def _accumulate(terms) -> None:
-    """``dst += a @ b`` for each ``(key, dst, a, b)``.  The first product of a
-    key is written into its ``dst`` directly, so the views of one key must lie
-    in one zeroed array (or be one view, which may start unset)."""
-    tmp, seen = None, set()
-    for key, dst, a, b in terms:
-        if key not in seen:
-            seen.add(key)
+    """``dst += a @ b`` for each ``(dst, a, b)``.  The first product is written
+    into its ``dst`` directly, so the views must lie in one zeroed array (or be
+    one view, which may start unset)."""
+    tmp = None
+    for i, (dst, a, b) in enumerate(terms):
+        if i == 0:
             np.matmul(a, b, out=dst)
             continue
         if tmp is None:
@@ -358,53 +340,53 @@ def _accumulate(terms) -> None:
 
 def _tap_conv(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: int,
               padding: int, keep: bool):
-    """Accumulating per-tap GEMMs over stride-phase grids, channels-first.
+    """Accumulating per-tap GEMMs over one zero-padded grid, channels-first,
+    for a conv with one stride phase: a 1x1 kernel, or stride 1.
 
-    Output ``o`` reads padded position ``o*stride + t`` at kernel offset
-    ``t``: index ``o + t//stride`` of stride phase ``t % stride``.  The padded
-    input is copied once into its phases, (B, C, *grid) arrays with
-    ``grid = outs + (k-1)//stride``, flattened over the grid; an unpadded
-    stride-1 input is its own one phase.  Tap ``t`` adds
-    ``W[:, :, t] @ phase[:, :, off_t : off_t + n]`` into a flat output grid,
-    where ``off_t`` is the flat index of ``t//stride`` and ``n`` reaches the
-    last valid output, which are then cropped.  So a 1x1 stride-1 conv is one
-    GEMM on ``x`` itself.  The backward is per tap too: ``gW_t = g_grid @
-    phase_sliceᵀ`` reads the phases, kept only when ``keep``, and
-    ``g_phase[:, :, off_t : off_t + n] += W_tᵀ @ g_grid``.  Returns the output
+    Grid index ``j`` holds input position ``j*stride - padding``, so output
+    ``o`` reads grid index ``o + t`` at kernel offset ``t``.  The input is
+    copied once into a (B, C, *grid) array with ``grid = outs + k - 1``,
+    flattened over the grid; an unpadded stride-1 input is its own grid.  Tap
+    ``t`` adds ``W[:, :, t] @ grid[:, :, off_t : off_t + n]`` into a flat
+    output grid, where ``off_t`` is the flat index of ``t`` and ``n`` reaches
+    the last valid output, which are then cropped.  So a 1x1 stride-1 conv is
+    one GEMM on ``x`` itself.  The backward is per tap too: ``gW_t = g_grid @
+    grid_sliceᵀ`` reads the grid, kept only when ``keep``, and
+    ``gx_grid[:, :, off_t : off_t + n] += W_tᵀ @ g_grid``.  Returns the output
     and ``grads(g, need_x) -> (gx, gw)``."""
     bsz, in_ch = x.shape[:2]
     out_ch, k, sp = w.shape[0], w.shape[2], x.shape[2:]
     dims = len(sp)
     outs = tuple((e + 2 * padding - k) // stride + 1 for e in sp)
-    grid = tuple(o + (k - 1) // stride for o in outs)
+    grid = tuple(o + k - 1 for o in outs)
     size = math.prod(grid)
     steps = [math.prod(grid[i + 1:]) for i in range(dims)]
     n = sum((o - 1) * s for o, s in zip(outs, steps)) + 1
-    # per tap, in (*k) order: its phase and the flat offset of its grid shift
-    taps = [(np.ravel_multi_index(tuple(t % stride for t in tap), (min(k, stride),) * dims),
-             sum(t // stride * s for t, s in zip(tap, steps)))
-            for tap in np.ndindex(*(k,) * dims)]
+    # per tap, in (*k) order: the flat offset of its grid shift
+    offsets = [sum(t * s for t, s in zip(tap, steps)) for tap in np.ndindex(*(k,) * dims)]
     whole = (slice(None),) * 2
     crop = whole + tuple(slice(o) for o in outs)
-    slices = _phase_slices(sp, grid, k, stride, padding)
+    # grid indices from ``lo`` hold the input positions from ``lo*stride - padding``
+    lo = -(-padding // stride)
+    xs = whole + (slice(lo * stride - padding, None, stride),) * dims
+    gs = whole + tuple(slice(lo, lo + e) for e in x[xs].shape[2:])
     if stride == 1 and padding == 0:
-        phases = np.ascontiguousarray(x).reshape(1, bsz, in_ch, size)
+        xg = np.ascontiguousarray(x).reshape(bsz, in_ch, size)
     else:
-        phases = np.zeros((len(slices), bsz, in_ch) + grid, x.dtype)
-        for p, (gs, xs) in enumerate(slices):
-            phases[(p,) + whole + gs] = x[whole + xs]
-        phases = phases.reshape(len(slices), bsz, in_ch, size)
+        xg = np.zeros((bsz, in_ch) + grid, x.dtype)
+        xg[gs] = x[xs]
+        xg = xg.reshape(bsz, in_ch, size)
     # (tap, out, in): one contiguous (out, in) matrix per tap
     wt = np.ascontiguousarray(w.reshape(out_ch, in_ch, -1).transpose(2, 0, 1))
 
     flat = np.empty((bsz, out_ch, size), np.result_type(x, w))
-    _accumulate((0, flat[:, :, :n], wt[i], phases[p, :, :, off:off + n])
-                for i, (p, off) in enumerate(taps))
+    _accumulate((flat[:, :, :n], wt[i], xg[:, :, off:off + n])
+                for i, off in enumerate(offsets))
     y = flat.reshape((bsz, out_ch) + grid)[crop]
     if b is not None:
         y = np.add(y, b.reshape((-1,) + (1,) * dims), out=y if grid == outs else None)
     if not keep:
-        phases = None
+        xg = None
 
     def grads(g, need_x):
         if grid == outs:
@@ -414,27 +396,26 @@ def _tap_conv(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], stride: int
             gg[crop] = g
             gg = gg.reshape(bsz, out_ch, size)[:, :, :n]
         gw = gx = None
-        if phases is not None:
-            gw = np.stack([np.matmul(gg, phases[p, :, :, off:off + n].swapaxes(1, 2)).sum(0)
-                           for p, off in taps], axis=-1).reshape(w.shape)
+        if xg is not None:
+            gw = np.stack([np.matmul(gg, xg[:, :, off:off + n].swapaxes(1, 2)).sum(0)
+                           for off in offsets], axis=-1).reshape(w.shape)
         if need_x:
-            gp = np.zeros((len(slices), bsz, in_ch, size), np.result_type(g, w))
+            gp = np.zeros((bsz, in_ch, size), np.result_type(g, w))
             # taps in reverse, so each input position sums its outputs in order
-            _accumulate((p, gp[p, :, :, off:off + n], wt[i].T, gg)
-                        for i, (p, off) in reversed(list(enumerate(taps))))
+            _accumulate((gp[:, :, off:off + n], wt[i].T, gg)
+                        for i, off in reversed(list(enumerate(offsets))))
             if stride == 1 and padding == 0:
                 return gp.reshape(x.shape), gw
-            gp = gp.reshape((len(slices), bsz, in_ch) + grid)
             gx = np.zeros(x.shape, gp.dtype)
-            for p, (gs, xs) in enumerate(slices):
-                gx[whole + xs] = gp[(p,) + whole + gs]
+            gx[xs] = gp.reshape((bsz, in_ch) + grid)[gs]
         return gx, gw
 
     return y, grads
 
 
 # per-tap work (output rows x input channels) from which ``conv`` takes the
-# tap path, for a 1x1 kernel and for a larger one; below it, the columns
+# tap path, for a 1x1 kernel and for a larger one at stride 1; below it, and
+# for a larger kernel at stride > 1 at any size, the columns
 _TAP_MIN_WORK = (0, 1 << 20)
 
 
@@ -461,7 +442,8 @@ def conv(x: Tensor, weight: Parameter, bias: Optional[Parameter],
                 f"(input {ext}, kernel {k}, stride {stride}, padding {padding})")
 
     rows = x.shape[0] * math.prod((e + 2 * padding - k) // stride + 1 for e in x.shape[2:])
-    path = _tap_conv if rows * in_ch >= _TAP_MIN_WORK[k > 1] else _column_conv
+    taps = (k == 1 or stride == 1) and rows * in_ch >= _TAP_MIN_WORK[k > 1]
+    path = _tap_conv if taps else _column_conv
     y, grads = path(x.data, weight.data, None if bias is None else bias.data, stride,
                     padding, weight.requires_grad and active_tape() is not None)
     out = Tensor(y)

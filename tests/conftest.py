@@ -16,7 +16,8 @@ def rng():
 @pytest.fixture
 def each_conv_path(monkeypatch):
     """Yields "columns", then "taps", with ``ops._TAP_MIN_WORK`` set so that
-    every ``conv`` call takes that algorithm until the next step."""
+    every ``conv`` call takes that algorithm until the next step, except a
+    larger kernel at stride > 1, which runs on the columns in both steps."""
     from pasfusion.ndcore import ops
 
     def paths():

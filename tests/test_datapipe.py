@@ -437,6 +437,15 @@ class TestPreprocessMri:
             else:
                 assert out.tobytes() == want.tobytes()
 
+    def test_signed_zero_minimum_is_order_free(self, rng):
+        # padded, nothing resampled, minimum a zero of both signs: the bytes
+        # must not depend on which signed zero the min reduction meets first
+        for _ in range(20):
+            vox = rng.choice(np.array([0.0, -0.0, 0.5, 1.0], np.float32), size=(32, 20, 16))
+            out = preprocess_mri(Volume(voxels=vox), target=(32, 32, 16)).voxels
+            flipped = preprocess_mri(Volume(voxels=vox[::-1].copy()), target=(32, 32, 16))
+            assert flipped.voxels[::-1].tobytes() == out.tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("shape", [(40, 50, 30), (16, 16, 8), (32, 20, 16)])
     def test_non_finite_raises_the_zero_grid_error(self, rng, shape, bad):

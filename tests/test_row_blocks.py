@@ -3,9 +3,10 @@
 ``ops._BLOCK_ROWS`` is shrunk so that one call runs through many blocks:
 partial last blocks, blocks that hold part of the batch, and blocks that cut
 an output axis in the middle.  Each conv case also runs on the tap path
-(``ops._TAP_MIN_WORK``), whose stride phases can be ragged, unread (k <
-stride) or mostly padding.  Every result is checked against the loop oracles
-at the tolerances of the unblocked tests.
+(``ops._TAP_MIN_WORK``), whose grid can be mostly padding; a larger kernel
+at stride > 1 runs on the columns in both steps, as it does at every size.
+Every result is checked against the loop oracles at the tolerances of the
+unblocked tests.
 """
 import math
 import tracemalloc
@@ -51,6 +52,8 @@ CONV_CASES = [
     (3, 1, 1, 0), (3, 1, 2, 0), (3, 3, 1, 1), (3, 3, 2, 1), (3, 7, 1, 0), (3, 7, 2, 1),
     # k < stride: phases no tap reads; padding = k - 1: outputs of padding alone
     (2, 2, 3, 1), (3, 1, 3, 0), (2, 3, 2, 2), (3, 3, 1, 2), (2, 5, 3, 4),
+    # a padded strided 1x1: grid index 0 holds padding, and an axis may hold no input
+    (2, 1, 2, 1), (3, 1, 3, 2),
 ]
 
 
@@ -101,6 +104,41 @@ def test_conv_keeps_dtype_on_both_paths(each_conv_path, dtype, dims, k, stride, 
         for got, ref in zip((xt.grad, wt.grad, bt.grad), want):
             assert got.dtype == dtype
             np.testing.assert_allclose(got, ref, rtol=0, atol=tol)
+
+
+class _TapPath(Exception):
+    pass
+
+
+def _path_taken(monkeypatch, x_shape, w_shape, stride, padding) -> str:
+    """The algorithm ``ndc.conv`` picks for zero operands of these shapes,
+    with the tap path raising and the columns returning zeros."""
+    def taps(*_):
+        raise _TapPath
+
+    def columns(x, w, b, stride, padding, keep):
+        outs = tuple((e + 2 * padding - w.shape[2]) // stride + 1 for e in x.shape[2:])
+        return np.zeros((x.shape[0], w.shape[0]) + outs, x.dtype), lambda g, need_x: (None, None)
+
+    monkeypatch.setattr(ops, "_tap_conv", taps)
+    monkeypatch.setattr(ops, "_column_conv", columns)
+    x = ndc.Tensor(np.zeros(x_shape, np.float32))
+    w = ndc.Parameter(np.zeros(w_shape, np.float32))
+    try:
+        ndc.conv(x, w, None, stride=stride, padding=padding)
+    except _TapPath:
+        return "taps"
+    return "columns"
+
+
+def test_strided_larger_kernels_take_the_columns(monkeypatch):
+    # the paper MRI stem at ``evaluate``'s batch of 8: its rows x channels
+    # reach the tap path's work, yet its 343 taps would each be a rank-1 GEMM
+    assert _path_taken(monkeypatch, (8, 1, 128, 128, 64), (64, 1, 7, 7, 7), 2, 3) == "columns"
+    monkeypatch.setattr(ops, "_TAP_MIN_WORK", (0, 0))
+    assert _path_taken(monkeypatch, (2, 4, 9, 9), (3, 4, 3, 3), 2, 1) == "columns"
+    assert _path_taken(monkeypatch, (2, 4, 9, 9), (3, 4, 1, 1), 2, 0) == "taps"
+    assert _path_taken(monkeypatch, (2, 4, 9, 9), (3, 4, 3, 3), 1, 1) == "taps"
 
 
 @pytest.mark.parametrize("dims,k,stride,padding", [
