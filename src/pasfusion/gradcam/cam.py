@@ -2,7 +2,9 @@
 
 Channel weights are the spatial means of the class-score gradient at the
 captured layer output; the map is ReLU(sum_c w_c A_c), upsampled to the
-input grid (bilinear/trilinear) and min-max normalized.
+input grid (bilinear/trilinear) by ``datapipe.resample`` and min-max
+normalized by ``datapipe.minmax_unit``, which raises ``PreprocessError`` (the
+CLI exits 3) on a non-finite map.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import numpy as np
 
 from .. import ndcore as ndc
 from ..config import ConfigError
-from ..datapipe.preprocess import linear_taps, resample
+from ..datapipe.preprocess import linear_taps, minmax_unit, resample
 
 
 class GradCamError(ConfigError):
@@ -27,27 +29,13 @@ class Heatmap:
     sample_id: str = ""
 
 
-def upsample_linear(arr: np.ndarray, extents) -> np.ndarray:
-    return resample(arr.astype(np.float64), extents, linear_taps)
-
-
-def normalize_unit(cam: np.ndarray) -> np.ndarray:
-    """Min-max to [0, 1]; identically-zero maps stay zero."""
-    hi = float(cam.max())
-    lo = float(cam.min())
-    if hi <= 0.0 or hi == lo:
-        return np.zeros_like(cam, dtype=np.float32)
-    return ((cam - lo) / (hi - lo)).astype(np.float32)
-
-
 def cam_from_capture(activation: np.ndarray, grad: np.ndarray,
                      out_extents) -> np.ndarray:
     """Core formula for one sample: (C, *sp) activation/gradient pair."""
     spatial_axes = tuple(range(1, activation.ndim))
     weights = grad.mean(axis=spatial_axes)
     cam = np.maximum(np.tensordot(weights, activation, axes=(0, 0)), 0.0)
-    cam = upsample_linear(cam, out_extents)
-    return normalize_unit(cam)
+    return minmax_unit(resample(cam.astype(np.float64), out_extents, linear_taps))
 
 
 def gradcam(model, inputs, class_index: int, target=None,

@@ -1,6 +1,7 @@
 """Heatmap rendering: binary PGM (P5) sources, PPM (P6) overlays with a
-piecewise-linear jet-style ramp, alpha 0.4 blend, and side-by-side
-composites for 2D sources."""
+piecewise-linear jet-style ramp (``np.interp`` over ``JET_STOPS``), alpha 0.4
+blend, and side-by-side composites for 2D sources.  Maps come in min-maxed
+by ``datapipe.minmax_unit``, so a non-finite map never reaches a file."""
 from __future__ import annotations
 
 import json
@@ -25,16 +26,11 @@ JET_STOPS = (
 
 
 def jet_ramp(values: np.ndarray) -> np.ndarray:
-    """Map [0, 1] values to (…, 3) uint8 colors via the control points."""
-    v = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
-    out = np.zeros(v.shape + (3,), dtype=np.float64)
-    for (p0, c0), (p1, c1) in zip(JET_STOPS, JET_STOPS[1:]):
-        mask = (v >= p0) & (v <= p1)
-        t = np.zeros_like(v)
-        t[mask] = (v[mask] - p0) / (p1 - p0)
-        for ch in range(3):
-            out[..., ch][mask] = c0[ch] + t[mask] * (c1[ch] - c0[ch])
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    """Map [0, 1] values to (…, 3) uint8 colors, one ``np.interp`` per channel
+    over the control points; values outside clamp to the end stops, NaN is black."""
+    stops, colors = zip(*JET_STOPS)
+    out = np.stack([np.interp(values, stops, ramp) for ramp in zip(*colors)], axis=-1)
+    return np.fmax(np.rint(out), 0.0).astype(np.uint8)     # fmax: NaN -> 0
 
 
 def write_pnm(path, pixels_u8: np.ndarray) -> None:

@@ -12,7 +12,15 @@ from typing import Iterator
 import numpy as np
 
 from .. import ndcore as ndc
-from ..ndcore import Parameter, Tensor
+from ..ndcore import ContainerError, Parameter, Tensor
+
+
+def _fitting(state: dict[str, np.ndarray], key: str, shape) -> np.ndarray:
+    if key not in state:
+        raise ContainerError(f"checkpoint missing {key!r}")
+    if state[key].shape != shape:
+        raise ContainerError(f"checkpoint shape {state[key].shape} != {shape} for {key!r}")
+    return state[key]
 
 
 class Module:
@@ -87,20 +95,12 @@ class Module:
         return state
 
     def load_state_arrays(self, state: dict[str, np.ndarray], prefix: str = ""):
-        """Copy matching arrays into parameters/buffers; missing keys raise."""
+        """Copy matching arrays into parameters/buffers; a checkpoint that does
+        not fit (a missing key, a wrong shape) raises ``ContainerError``."""
         for name, p in self.named_parameters():
-            key = prefix + name
-            if key not in state:
-                raise KeyError(f"checkpoint missing parameter {key!r}")
-            if state[key].shape != p.shape:
-                raise ValueError(
-                    f"checkpoint shape {state[key].shape} != {p.shape} for {key!r}")
-            p.data = np.ascontiguousarray(state[key], dtype=p.dtype)
+            p.data = np.ascontiguousarray(_fitting(state, prefix + name, p.shape), dtype=p.dtype)
         for name, b in self.named_buffers():
-            key = f"buffer.{prefix}{name}"
-            if key not in state:
-                raise KeyError(f"checkpoint missing buffer {key!r}")
-            b[...] = state[key]
+            b[...] = _fitting(state, f"buffer.{prefix}{name}", b.shape)
         return self
 
     def __call__(self, *args, **kwargs):

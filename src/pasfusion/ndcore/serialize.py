@@ -2,7 +2,8 @@
 
 Layout: magic ``NDC1`` followed by one block per array, ordered
 lexicographically by name.  Each block is: name length (u64 LE), UTF-8 name,
-rank (u64 LE), extents (u64 LE each), raw little-endian float32 data.
+rank (u64 LE), extents (u64 LE each), raw little-endian float32 data.  A
+reader rejects NaN and inf: no finite model holds them.
 """
 from __future__ import annotations
 
@@ -62,5 +63,7 @@ def load_arrays(blob: bytes) -> dict[str, np.ndarray]:
             arrays[name] = data.reshape(shape).astype(np.float32)
         except ValueError as exc:     # over 64 axes, or an axis numpy cannot index
             raise ContainerError(f"array {name!r} has extents {shape} ({exc})") from None
+        if not np.isfinite(data).all():
+            raise ContainerError(f"array {name!r} holds a non-finite value")
     return arrays
 

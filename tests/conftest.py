@@ -15,13 +15,15 @@ def rng():
 
 @pytest.fixture
 def each_conv_path(monkeypatch):
-    """Yields "columns", then "taps", with ``ops._TAP_MIN_WORK`` set so that
-    every ``conv`` call takes that algorithm until the next step, except a
-    larger kernel at stride > 1, which runs on the columns in both steps."""
+    """``paths(k, stride)`` yields "columns", then "taps", with
+    ``ops._TAP_MIN_WORK`` set so that every ``conv`` call takes that algorithm
+    until the next step.  A larger kernel at stride > 1, which ``conv`` runs on
+    the columns at every size, yields "columns" alone: one algorithm, checked once."""
     from pasfusion.ndcore import ops
 
-    def paths():
-        for name, work in (("columns", (math.inf, math.inf)), ("taps", (0, 0))):
+    def paths(k, stride):
+        steps = (("columns", (math.inf, math.inf)), ("taps", (0, 0)))
+        for name, work in steps[:1] if k > 1 and stride > 1 else steps:
             monkeypatch.setattr(ops, "_TAP_MIN_WORK", work)
             yield name
 

@@ -23,6 +23,7 @@ from pasfusion.datapipe import (
     Sample,
     SampleManifest,
     Volume,
+    minmax_unit,
     oversample_minority,
     read_nifti,
     read_rvol,
@@ -37,7 +38,7 @@ from pasfusion.evalstats import (
     paired_ttest,
     roc_auc,
 )
-from pasfusion.gradcam import gradcam, normalize_unit
+from pasfusion.gradcam import gradcam
 from pasfusion.models import PAPER, build_model
 from pasfusion.models.profiles import get_profile
 from pasfusion.synthgen import SynthSpec, generate_dataset
@@ -458,7 +459,7 @@ def test_criterion_8_gradcam_analytic():
     x = rng.normal(size=(8, 4)).astype(np.float32)
     model = ToyLinearModel(w=2.0).finalize_names()
     heat = gradcam(model, (x[None],), class_index=1)
-    want = normalize_unit(np.maximum(2.0 * x.astype(np.float64) / x.size, 0.0))
+    want = minmax_unit(np.maximum(2.0 * x.astype(np.float64) / x.size, 0.0))
     np.testing.assert_array_equal(heat.values, want)
 
     emitted = [heat.values]

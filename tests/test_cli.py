@@ -315,8 +315,10 @@ class TestExitCodes:
         code = main(["preprocess", "--config", str(cfg), "--out", str(tmp_path / "pp")])
         assert code == EXIT_DATA
 
-    @pytest.mark.parametrize("fault", ["magic", "sidecar", "seed", "profile"])
-    def test_bad_checkpoint_is_data_error(self, dataset_dir, tmp_path, fault):
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    @pytest.mark.parametrize("fault", ["magic", "sidecar", "seed", "profile", "kind", "shape",
+                                       "buffer", "nan"])
+    def test_bad_checkpoint_is_data_error(self, dataset_dir, tmp_path, capsys, fault, command):
         from pasfusion.models import build_model
         from pasfusion.trainer import save_checkpoint, snapshot_state
 
@@ -324,8 +326,16 @@ class TestExitCodes:
         sidecar = {"model": "us", "profile": "micro", "seed": 0}
         if fault in ("seed", "profile"):
             sidecar[fault] = {"seed": "x", "profile": "nope"}[fault]
-        save_checkpoint(ckpt, snapshot_state(build_model("us", "micro", seed=0)),
-                        sidecar)
+        # "kind": the sidecar says us, the arrays are an MRI model's
+        state = snapshot_state(build_model("mri" if fault == "kind" else "us", "micro", seed=0))
+        if fault == "shape":
+            state["fc.weight"] = state["fc.weight"][:1, 0]
+        elif fault == "buffer":     # a (1,) array would broadcast into the buffer
+            key = next(k for k in sorted(state) if k.startswith("buffer."))
+            state[key] = state[key][:1]
+        elif fault == "nan":
+            state["fc.weight"][0, 0] = np.nan
+        save_checkpoint(ckpt, state, sidecar)
         if fault == "magic":
             ckpt.write_bytes(b"NDC0" + ckpt.read_bytes()[4:])
         elif fault == "sidecar":
@@ -334,8 +344,31 @@ class TestExitCodes:
         cfg.write_text(json.dumps({
             "checkpoint": str(ckpt),
             "manifest": str(dataset_dir / "data" / "manifest.json"), "split": "test"}))
-        code = main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e")])
+        capsys.readouterr()
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "e")])
+        lines = capsys.readouterr().err.splitlines()
         assert code == EXIT_DATA
+        assert len(lines) == 1 and lines[0].startswith("data error: "), lines
+
+    def test_swapped_warm_start_is_data_error(self, dataset_dir, tmp_path, capsys):
+        from pasfusion.models import build_model
+        from pasfusion.trainer import save_checkpoint, snapshot_state
+
+        paths = {}
+        for kind in ("mri", "us"):
+            paths[kind] = tmp_path / f"{kind}.ckpt"
+            save_checkpoint(paths[kind], snapshot_state(build_model(kind, "micro", seed=0)),
+                            {"model": kind, "profile": "micro", "seed": 0})
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps({
+            "trainer": {"model": "fusion", "profile": "micro", "epochs": 1,
+                        "warm_start": [str(paths["us"]), str(paths["mri"])]},
+            "manifest": str(dataset_dir / "data" / "manifest.json")}))
+        capsys.readouterr()
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == EXIT_DATA
+        assert len(lines) == 1 and lines[0].startswith("data error: "), lines
 
     @pytest.mark.parametrize("case", list(_malformed_cases("m", "c", "f")))
     def test_malformed_config_value_exits_cleanly(self, dataset_dir, tmp_path, capsys, case):

@@ -13,10 +13,10 @@ from pasfusion.gradcam import (
     cam_from_capture,
     gradcam,
     jet_ramp,
-    normalize_unit,
     render_overlay,
-    upsample_linear,
 )
+from pasfusion.datapipe import PreprocessError, minmax_unit
+from pasfusion.datapipe.preprocess import linear_taps, resample
 from pasfusion.models import Conv, Module, build_model
 
 
@@ -50,14 +50,14 @@ class TestAnalyticCase:
         x = rng.normal(size=(6, 5)).astype(np.float32)
         model = ToyLinearModel(w=2.0).finalize_names()
         heat = gradcam(model, (x[None],), class_index=1)
-        want = normalize_unit(np.maximum(2.0 * x / x.size, 0.0))
+        want = minmax_unit(np.maximum(2.0 * x / x.size, 0.0))
         np.testing.assert_allclose(heat.values, want, atol=1e-6)
 
     def test_negative_weight_class_flips_map(self, rng):
         x = rng.normal(size=(4, 4)).astype(np.float32)
         model = ToyLinearModel(w=-1.5).finalize_names()
         heat = gradcam(model, (x[None],), class_index=1)
-        want = normalize_unit(np.maximum(-1.5 * x / x.size, 0.0))
+        want = minmax_unit(np.maximum(-1.5 * x / x.size, 0.0))
         np.testing.assert_allclose(heat.values, want, atol=1e-6)
 
     def test_zero_gradients_give_zero_map(self):
@@ -70,10 +70,17 @@ class TestAnalyticCase:
         a = np.maximum(rng.normal(size=(1, 5, 5)), 0.0)
         g = np.ones((1, 5, 5))
         cam = cam_from_capture(a, g, (5, 5))
-        want = normalize_unit(np.maximum(a[0], 0.0))
+        want = minmax_unit(np.maximum(a[0], 0.0))
         np.testing.assert_allclose(cam, want, atol=1e-7)
         if cam.max() > 0:
             assert cam.max() == 1.0
+
+    def test_non_finite_map_is_rejected(self, rng):
+        a = np.abs(rng.normal(size=(2, 4, 4)))
+        g = np.ones((2, 4, 4))
+        g[1, 2, 3] = np.nan
+        with pytest.raises(PreprocessError, match="non-finite"):
+            cam_from_capture(a, g, (8, 8))
 
 
 class TestHeatmapInvariants:
@@ -123,7 +130,7 @@ class TestHeatmapInvariants:
 
     def test_upsample_preserves_range(self, rng):
         small = rng.random((4, 4))
-        big = upsample_linear(small, (16, 16))
+        big = resample(small.astype(np.float64), (16, 16), linear_taps)
         assert big.shape == (16, 16)
         assert big.min() >= small.min() - 1e-9
         assert big.max() <= small.max() + 1e-9

@@ -3,8 +3,9 @@
 ``ops._BLOCK_ROWS`` is shrunk so that one call runs through many blocks:
 partial last blocks, blocks that hold part of the batch, and blocks that cut
 an output axis in the middle.  Each conv case also runs on the tap path
-(``ops._TAP_MIN_WORK``), whose grid can be mostly padding; a larger kernel
-at stride > 1 runs on the columns in both steps, as it does at every size.
+(``ops._TAP_MIN_WORK``), whose grid can be mostly padding, except a larger
+kernel at stride > 1: ``conv`` runs it on the columns at every size, so it
+runs there once.
 Every result is checked against the loop oracles at the tolerances of the
 unblocked tests.
 """
@@ -50,7 +51,7 @@ def test_blocks_partition_rows_in_order(monkeypatch, rows, shape):
 CONV_CASES = [
     (2, 1, 1, 0), (2, 1, 2, 0), (2, 3, 1, 1), (2, 3, 2, 1), (2, 7, 1, 3), (2, 7, 2, 2),
     (3, 1, 1, 0), (3, 1, 2, 0), (3, 3, 1, 1), (3, 3, 2, 1), (3, 7, 1, 0), (3, 7, 2, 1),
-    # k < stride: phases no tap reads; padding = k - 1: outputs of padding alone
+    # k < stride: inputs that no window reads; padding = k - 1: outputs of padding alone
     (2, 2, 3, 1), (3, 1, 3, 0), (2, 3, 2, 2), (3, 3, 1, 2), (2, 5, 3, 4),
     # a padded strided 1x1: grid index 0 holds padding, and an axis may hold no input
     (2, 1, 2, 1), (3, 1, 3, 2),
@@ -68,7 +69,7 @@ def test_conv_matches_oracles_across_blocks(monkeypatch, each_conv_path, dims, k
     want_y = conv_nd_loops(x, w, b, stride, padding)
     g = rng.normal(size=want_y.shape)
     want = conv_nd_vjp_loops(x, w, g, stride, padding)
-    for path in each_conv_path():
+    for path in each_conv_path(k, stride):
         for rows in BLOCK_ROWS if path == "columns" else BLOCK_ROWS[-1:]:
             monkeypatch.setattr(ops, "_BLOCK_ROWS", rows)
             with ndc.Tape():
@@ -93,7 +94,7 @@ def test_conv_keeps_dtype_on_both_paths(each_conv_path, dtype, dims, k, stride, 
     g = rng.normal(size=want_y.shape)
     want = conv_nd_vjp_loops(x, w, g, stride, padding)
     tol = 1e-4 if dtype == np.float32 else 1e-10
-    for _ in each_conv_path():
+    for _ in each_conv_path(k, stride):
         with ndc.Tape():
             xt = ndc.Tensor(x, requires_grad=True, dtype=dtype)
             wt, bt = ndc.Parameter(w, dtype=dtype), ndc.Parameter(b, dtype=dtype)

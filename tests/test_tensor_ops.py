@@ -53,7 +53,7 @@ class TestConv:
         w = rng.normal(size=(4, 3) + (k,) * dims)
         b = rng.normal(size=4)
         want = conv_nd_loops(x, w, b, stride, padding)
-        for _ in each_conv_path():
+        for _ in each_conv_path(k, stride):
             got = ndc.conv(_t(x), _param(w), _param(b), stride=stride, padding=padding)
             np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
@@ -77,7 +77,7 @@ class TestConv:
         assert strided.shape == (batch, in_ch) + sp and not strided.flags.c_contiguous
         w = rng.normal(size=(4, in_ch, k, k)).astype(np.float32)
         b = rng.normal(size=4).astype(np.float32)
-        for _ in each_conv_path():
+        for _ in each_conv_path(k, stride):
             results = []
             for data in (strided, np.ascontiguousarray(strided)):
                 with ndc.Tape():
@@ -397,6 +397,12 @@ class TestSerialization:
         arrays = {"b": np.zeros(1, np.float32), "a": np.ones(1, np.float32)}
         blob = ndc.dump_arrays(arrays)
         assert blob.find(b"a") < blob.find(b"b")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_container_error(self, value):
+        blob = ndc.dump_arrays({"w": np.array([0.0, value], np.float32)})
+        with pytest.raises(ndc.ContainerError, match="non-finite"):
+            ndc.load_arrays(blob)
 
     def test_bad_magic(self):
         with pytest.raises(ndc.ContainerError):
